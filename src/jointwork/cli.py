@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import _kernels
 from .bloch import VisibilityPair, gamma_bound, lambda_mub, lambda_opt, symmetric_critical_visibility
 from .errors import AssignmentDomainError, JointWorkError
-from .feasibility import ENV_WORKERS, estimate_critical_visibility
+from .feasibility import estimate_critical_visibility
 from .gtpm import (
     DiagonalState,
     fluctuation_residual,
@@ -526,7 +524,6 @@ def cmd_verify(args) -> int:
         raise CliInputError("--cases must be >= 1")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    workers = int(os.environ.get(ENV_WORKERS, "0") or 0) or (os.cpu_count() or 1)
     records = [
         {
             "record": "header",
@@ -541,11 +538,7 @@ def cmd_verify(args) -> int:
     p = args.precision
     for d in dims:
         case_seeds = [int(s) for s in rng.integers(0, 2**63, size=args.cases)]
-        if workers > 1 and args.cases > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(lambda s: _verify_case(d, s), case_seeds))
-        else:
-            results = [_verify_case(d, s) for s in case_seeds]
+        results = [_verify_case(d, s) for s in case_seeds]
         rec = {"record": "verify", "d": d, "cases": args.cases}
         pairs = []
         skipped = sum(1 for r in results if r["jarzynski"] is None)
@@ -576,6 +569,8 @@ def cmd_feasibility(args) -> int:
         raise CliInputError("--unitaries must be >= 1")
     if args.tol <= 0 or args.resolution <= 0:
         raise CliInputError("--tol and --resolution must be positive")
+    if args.max_iter < 1:
+        raise CliInputError("--max-iter must be >= 1")
     seed = _resolve_seed(args)
     history = []
     try:

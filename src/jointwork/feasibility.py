@@ -14,8 +14,6 @@ the gap trace is returned for audit.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +22,6 @@ import numpy as np
 from . import _kernels
 from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
 from .povm import Povm, heisenberg_povm, luders_instrument, noisy_effects
-
-ENV_WORKERS = "JOINTWORK_WORKERS"
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -124,22 +120,19 @@ def _from_frame(grid, v):
     return np.einsum("ij,abjk,lk->abil", v, grid, v.conj())
 
 
-def solve_joint_feasibility(
-    problem: FeasibilityProblem,
-    tol: float = 1e-7,
-    max_iter: int = 20000,
-    start: Optional[np.ndarray] = None,
-) -> FeasibilityResult:
-    """Run the two-phase projection scheme; never raises on non-convergence,
-    the status field carries the verdict.
+def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=None):
+    """Phase one: project with the diagonal statistics pinned, in the probe
+    frame (eigenbasis of the first Hamiltonian).
 
-    With `start` given (lab frame) the iteration begins there; the default
-    start is the target grid itself, which already satisfies the A-marginal
-    and the diagonal statistics, leaving only the B-marginal and positivity
-    to reconcile.
+    Returns ((a_effects, b_effects, diagonal targets), (grid, gap,
+    iterations, code, trace)): the frame data phase two reuses, then the
+    kernel's run. Code 0 means the gap converged and the grid's marginals
+    checked out, which alone decides FEASIBLE_ZERO_OBJECTIVE.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     v = problem.probe_basis
     ae = np.einsum("ji,ajk,kl->ail", v.conj(), problem.a_effects, v)
     be = np.einsum("ji,ajk,kl->ail", v.conj(), problem.b_effects, v)
@@ -155,8 +148,6 @@ def solve_joint_feasibility(
     k_e, gap, iters, code, trace = _kernels.dykstra(
         ae, be, tdiag, True, start_e, tol, max_iter, STALL_WINDOW, STALL_SCALE
     )
-    total = iters
-    traces = [trace]
     if code == 0:
         # pinning the diagonal and matching the marginals are applied as one
         # composed step, which is a genuine projection only when the pinned
@@ -169,6 +160,28 @@ def solve_joint_feasibility(
             np.max(np.abs(grid0.sum(axis=0) - problem.b_effects)),
         )
         code = 0 if m0 <= STALL_SCALE * tol else 1
+    return (ae, be, tdiag), (k_e, gap, iters, code, trace)
+
+
+def solve_joint_feasibility(
+    problem: FeasibilityProblem,
+    tol: float = 1e-7,
+    max_iter: int = 20000,
+    start: Optional[np.ndarray] = None,
+) -> FeasibilityResult:
+    """Run the two-phase projection scheme; never raises on non-convergence,
+    the status field carries the verdict.
+
+    With `start` given (lab frame) the iteration begins there; the default
+    start is the target grid itself, which already satisfies the A-marginal
+    and the diagonal statistics, leaving only the B-marginal and positivity
+    to reconcile. Raises ValueError unless tol > 0 and max_iter >= 1.
+    """
+    (ae, be, tdiag), (k_e, gap, iters, code, trace) = _phase_one(
+        problem, tol, max_iter, start
+    )
+    total = iters
+    traces = [trace]
     if code == 0:
         status = FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
     elif code == 2:
@@ -188,7 +201,7 @@ def solve_joint_feasibility(
     objective = float(
         np.sum(np.abs(np.diagonal(k_e, axis1=2, axis2=3).real - tdiag))
     )
-    grid = _from_frame(k_e, v)
+    grid = _from_frame(k_e, problem.probe_basis)
     res_a = np.max(np.abs(grid.sum(axis=1) - problem.a_effects))
     res_b = np.max(np.abs(grid.sum(axis=0) - problem.b_effects))
     sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
@@ -205,15 +218,6 @@ def solve_joint_feasibility(
     )
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(ENV_WORKERS, "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def estimate_critical_visibility(
     d: int,
     n_unitaries: int,
@@ -221,7 +225,6 @@ def estimate_critical_visibility(
     seed=0,
     resolution: float = 1e-3,
     max_iter: int = 20000,
-    workers: Optional[int] = None,
     history: Optional[list] = None,
 ) -> float:
     """Empirical critical symmetric visibility by bisection over lam = gamma.
@@ -230,29 +233,28 @@ def estimate_critical_visibility(
     grid for every sampled unitary; the returned value is the largest
     passing visibility at the requested resolution. A probe that exhausts
     its iteration budget counts as failing (certification, not proof).
-    Appends (visibility, passed) pairs to `history` when given.
+    Only phase one runs, since phase two never yields a zero objective, and
+    a probe stops at its first failing unitary. Appends (visibility, passed)
+    pairs to `history` when given.
     """
     if n_unitaries < 1:
         raise ValueError(f"need at least one unitary, got {n_unitaries}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
+    if resolution <= 0.0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_unitaries)
     unitaries = [haar_random_unitary(d, int(s)) for s in seeds]
-    n_workers = _worker_count(workers)
 
-    def certify(u, lam):
+    def certified(u, lam):
         pr = joint_feasibility_problem(h, h, u, lam, lam)
-        res = solve_joint_feasibility(pr, tol=tol, max_iter=max_iter)
-        return res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+        _, run = _phase_one(pr, tol, max_iter)
+        return run[3] == 0
 
     def passes(lam):
-        if n_workers <= 1 or n_unitaries == 1:
-            ok = all(certify(u, lam) for u in unitaries)
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as ex:
-                ok = all(ex.map(lambda u: certify(u, lam), unitaries))
+        ok = all(certified(u, lam) for u in unitaries)
         if history is not None:
             history.append((lam, ok))
         return ok
@@ -266,6 +268,8 @@ def estimate_critical_visibility(
         return hi
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         if passes(mid):
             lo = mid
         else:

@@ -172,6 +172,16 @@ def test_verify_rejects_bad_dims(capsys):
     capsys.readouterr()
 
 
+def test_feasibility_rejects_bad_limits(capsys):
+    assert main(["feasibility", "--dim", "1"]) == 2
+    assert main(["feasibility", "--unitaries", "0"]) == 2
+    assert main(["feasibility", "--tol", "0"]) == 2
+    assert main(["feasibility", "--resolution", "0"]) == 2
+    assert main(["feasibility", "--max-iter", "0"]) == 2
+    assert main(["feasibility", "--max-iter", "-5"]) == 2
+    capsys.readouterr()
+
+
 def test_feasibility_command(tmp_path, capsys, warm_kernels):
     out = tmp_path / "f.jsonl"
     rc = main(

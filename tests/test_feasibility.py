@@ -5,6 +5,7 @@ from jointwork.bloch import symmetric_critical_visibility
 from jointwork.feasibility import (
     FeasibilityProblem,
     FeasibilityStatus,
+    _phase_one,
     estimate_critical_visibility,
     joint_feasibility_problem,
     solve_joint_feasibility,
@@ -86,22 +87,37 @@ def test_max_iterations_is_reported(warm_kernels):
     assert res.iterations >= 50
 
 
-def test_positive_objective_when_diag_stats_conflict(warm_kernels):
-    # same marginals, but demand diagonal statistics that no grid with those
-    # marginals can have: phase one stalls, phase two still finds a grid
+def _conflicted_problem():
+    # same marginals, but diagonal statistics that no grid with those
+    # marginals can have
     prob = _qubit_problem(0.6)
     bumped = prob.targets.copy()
     bumped[0, 0, 0, 0] += 0.05
-    conflicted = FeasibilityProblem(
+    return FeasibilityProblem(
         a_effects=prob.a_effects.copy(),
         b_effects=prob.b_effects.copy(),
         targets=bumped,
         probe_basis=prob.probe_basis.copy(),
     )
-    res = solve_joint_feasibility(conflicted)
+
+
+def test_positive_objective_when_diag_stats_conflict(warm_kernels):
+    # phase one stalls, phase two still finds a grid
+    res = solve_joint_feasibility(_conflicted_problem())
     assert res.status is FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE
     assert res.objective > 0.01
     assert res.marginal_residual < 1e-6
+
+
+def test_phase_one_fails_without_a_zero_objective_grid(warm_kernels):
+    # the sharp qubit pair stalls in the kernel
+    _, (_, gap, _, code, _) = _phase_one(_qubit_problem(1.0), 1e-7, 20000)
+    assert code == 1 and gap > 0.1
+    # the conflicted pin converges in gap, but its marginals fail the check
+    _, (_, gap, _, code, _) = _phase_one(_conflicted_problem(), 1e-7, 20000)
+    assert code == 1 and gap <= 1e-7
+    _, (_, _, _, code, _) = _phase_one(_qubit_problem(0.6), 1e-7, 20000)
+    assert code == 0
 
 
 def test_status_enum_values():
@@ -130,8 +146,47 @@ def test_estimate_critical_visibility_qubit(warm_kernels):
     assert all(isinstance(ok, (bool, np.bool_)) for _, ok in history)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_estimate_verdicts_match_the_full_solver(d, warm_kernels):
+    history = []
+    estimate_critical_visibility(
+        d, 3, seed=5, resolution=0.02, max_iter=1500, history=history
+    )
+    h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
+    seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=3)
+    unitaries = [haar_random_unitary(d, int(s)) for s in seeds]
+    assert any(ok for _, ok in history) and not all(ok for _, ok in history)
+    for lam, ok in history:
+        statuses = [
+            solve_joint_feasibility(
+                joint_feasibility_problem(h, h, u, lam, lam), max_iter=1500
+            ).status
+            for u in unitaries
+        ]
+        assert ok == all(s is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE for s in statuses)
+
+
+def test_estimate_stops_at_float_resolution(warm_kernels):
+    history = []
+    est = estimate_critical_visibility(
+        2, 1, resolution=1e-300, max_iter=200, history=history
+    )
+    assert 0.02 <= est < 0.98
+    assert len(history) < 70
+
+
 def test_estimate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         estimate_critical_visibility(1, 5)
     with pytest.raises(ValueError):
         estimate_critical_visibility(2, 0)
+    with pytest.raises(ValueError):
+        estimate_critical_visibility(2, 5, resolution=0.0)
+    with pytest.raises(ValueError):
+        estimate_critical_visibility(2, 5, tol=0.0)
+    with pytest.raises(ValueError):
+        estimate_critical_visibility(2, 5, max_iter=0)
+    with pytest.raises(ValueError):
+        solve_joint_feasibility(_qubit_problem(0.6), max_iter=0)
+    with pytest.raises(ValueError):
+        solve_joint_feasibility(_qubit_problem(0.6), tol=-1e-7)
