@@ -4,11 +4,9 @@ Builds the square-root joint observable for a pair of unsharp energy
 measurements around a unitary process, checks the closed-form visibility
 bounds, recovers average work and free energy differences from generalized
 two-point statistics, and probes the bounds numerically with a convex
-feasibility solver. Hot kernels run under numba with a pure-numpy fallback
-(JOINTWORK_BACKEND=auto|numba|numpy).
+feasibility solver. Everything runs on numpy and scipy.
 """
 
-from ._kernels import ACTIVE_BACKEND, HAVE_NUMBA
 from .bloch import (
     GellMannBasis,
     VisibilityPair,
@@ -82,7 +80,6 @@ from .workobs import (
     EnergyAssignment,
     JointWorkObservable,
     WorkDistribution,
-    average_operator,
     build_joint_observable,
     corrected_assignment,
     jarzynski_assignment,

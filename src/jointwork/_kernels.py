@@ -1,51 +1,21 @@
-"""Hot numeric kernels: Dykstra projection loop and the trajectory sampler.
+"""Hot numeric kernel: the Dykstra projection loop, in batched numpy.
 
-Both kernels exist twice, as numba @njit(cache=True, nogil=True) functions
-and as pure-numpy twins with identical iteration logic. The public names
-`dykstra` and `sample_counts` are bound once at import according to the
-JOINTWORK_BACKEND environment variable:
-
-    auto   (default) numba when importable, numpy otherwise
-    numba  require numba, fail loudly if missing
-    numpy  force the fallback even when numba is present
-
-The sampler consumes pre-drawn uniforms and uses the same comparison
-convention in both twins, so counts are bit-identical across backends.
-The Dykstra twins share convergence/stall logic; their iterates agree to
-eigensolver roundoff.
-
-Dykstra status codes: 0 converged (gap <= tol), 1 stalled (no relative
+Status codes: 0 converged (gap <= tol), 1 stalled (no relative
 improvement over `stall_window` iterations with gap > stall_scale*tol),
 2 iteration budget exhausted.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_BACKEND = "JOINTWORK_BACKEND"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
+# read by the benchmark's provenance record; there is no other backend
+ACTIVE_BACKEND = "numpy"
+HAVE_NUMBA = False
 
 
-def _dykstra_numpy(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
-                   stall_window, stall_scale):
+def dykstra(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
+            stall_window, stall_scale):
     """Alternating projections with Dykstra corrections, batched numpy.
 
     a_eff (m,d,d) and b_eff (n,d,d) are the required row/column sums of the
@@ -94,145 +64,3 @@ def _dykstra_numpy(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
                 break
         x = z
     return z, float(trace[iters - 1]), iters, code, trace[:iters].copy()
-
-
-@njit(cache=True, nogil=True)
-def _dykstra_numba(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
-                   stall_window, stall_scale):
-    m, n, d = start.shape[0], start.shape[1], start.shape[2]
-    x = start.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    y = np.empty_like(x)
-    z = np.empty_like(x)
-    row = np.empty((m, d, d), dtype=np.complex128)
-    col = np.empty((n, d, d), dtype=np.complex128)
-    tot = np.empty((d, d), dtype=np.complex128)
-    trace = np.empty(max_iter, dtype=np.float64)
-    best = np.inf
-    since = 0
-    code = 2
-    iters = 0
-    for it in range(max_iter):
-        if it > 0:
-            tmp = x
-            x = z
-            z = tmp
-        for a in range(m):
-            for b in range(n):
-                g = x[a, b] + p[a, b]
-                h = 0.5 * (g + np.conj(g.T))
-                w, v = np.linalg.eigh(h)
-                for k in range(d):
-                    if w[k] < 0.0:
-                        w[k] = 0.0
-                yy = (v * w) @ np.conj(v.T)
-                y[a, b] = yy
-                p[a, b] = g - yy
-        for a in range(m):
-            row[a] = -a_eff[a]
-        for b in range(n):
-            col[b] = -b_eff[b]
-        for a in range(m):
-            for b in range(n):
-                gab = y[a, b] + q[a, b]
-                z[a, b] = gab
-                row[a] += gab
-                col[b] += gab
-        tot[:, :] = 0.0
-        for a in range(m):
-            tot += row[a]
-        gap2 = 0.0
-        for a in range(m):
-            for b in range(n):
-                for k in range(d):
-                    for l in range(d):
-                        val = (z[a, b, k, l] - row[a, k, l] / n - col[b, k, l] / m
-                               + tot[k, l] / (m * n))
-                        if use_stats and k == l:
-                            val = complex(diag_target[a, b, k], 0.0)
-                        q[a, b, k, l] = z[a, b, k, l] - val
-                        dr = y[a, b, k, l] - val
-                        gap2 += dr.real * dr.real + dr.imag * dr.imag
-                        z[a, b, k, l] = val
-        gap = np.sqrt(gap2)
-        trace[it] = gap
-        iters = it + 1
-        if gap <= tol:
-            code = 0
-            break
-        if gap < best * (1.0 - 1e-3):
-            best = gap
-            since = 0
-        else:
-            since += 1
-            if since >= stall_window and best > stall_scale * tol:
-                code = 1
-                break
-    return z, float(trace[iters - 1]), iters, code, trace[:iters].copy()
-
-
-def _sample_counts_numpy(cum_first, cum_cond, u_first, u_second):
-    """Two-stage inverse-CDF draw; counts grid (m, n_b) from prepared
-    cumulative tables and uniform variates."""
-    m = cum_first.shape[0]
-    nb = cum_cond.shape[1]
-    a_idx = np.sum(u_first[:, None] >= cum_first[None, : m - 1], axis=1)
-    b_idx = np.sum(u_second[:, None] >= cum_cond[a_idx, : nb - 1], axis=1)
-    flat = np.bincount(a_idx * nb + b_idx, minlength=m * nb)
-    return flat.reshape(m, nb).astype(np.int64)
-
-
-@njit(cache=True, nogil=True)
-def _sample_counts_numba(cum_first, cum_cond, u_first, u_second):
-    m = cum_first.shape[0]
-    nb = cum_cond.shape[1]
-    counts = np.zeros((m, nb), dtype=np.int64)
-    for i in range(u_first.shape[0]):
-        a = 0
-        for k in range(m - 1):
-            if u_first[i] >= cum_first[k]:
-                a += 1
-        b = 0
-        for k in range(nb - 1):
-            if u_second[i] >= cum_cond[a, k]:
-                b += 1
-        counts[a, b] += 1
-    return counts
-
-
-def _resolve_backend() -> str:
-    req = os.environ.get(ENV_BACKEND, "auto").strip().lower()
-    if req not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_BACKEND} must be auto, numba or numpy, got {req!r}")
-    if req == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(f"{ENV_BACKEND}=numba but numba is not importable")
-    if req == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return req
-
-
-ACTIVE_BACKEND = _resolve_backend()
-
-if ACTIVE_BACKEND == "numba":
-    dykstra = _dykstra_numba
-    sample_counts = _sample_counts_numba
-else:
-    dykstra = _dykstra_numpy
-    sample_counts = _sample_counts_numpy
-
-
-def warmup():
-    """Compile the jitted kernels on tiny inputs (no-op on the numpy path)."""
-    if ACTIVE_BACKEND != "numba":
-        return
-    eye = np.eye(2, dtype=np.complex128)
-    a_eff = np.stack((0.5 * eye, 0.5 * eye))
-    tgt = np.full((2, 2, 2), 0.25)
-    start = np.full((2, 2, 2, 2), 0.0, dtype=np.complex128)
-    start[:, :] = 0.25 * eye
-    dykstra(a_eff, a_eff, tgt, True, start, 1e-6, 50, 10, 10.0)
-    cum = np.array([0.5, 1.0])
-    cond = np.array([[0.5, 1.0], [0.5, 1.0]])
-    u = np.array([0.3, 0.7])
-    sample_counts(cum, cond, u, u)

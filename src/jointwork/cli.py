@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 
@@ -115,6 +116,22 @@ def _print_section(title: str, pairs, precision: int) -> None:
 # ------------------------------------------------------------- spec parsing
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number: not a boolean, NaN, an infinity or an integer
+    beyond float range."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _req(obj: dict, key: str, where: str):
     if key not in obj:
         raise CliInputError(f"{where}: missing required field '{key}'")
@@ -132,7 +149,7 @@ def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
             if (
                 not isinstance(ent, list)
                 or len(ent) != 2
-                or not all(isinstance(x, (int, float)) for x in ent)
+                or not all(_is_number(x) for x in ent)
             ):
                 raise CliInputError(f"{where}[{i}][{j}]: expected an [re, im] pair")
             out[i, j] = complex(ent[0], ent[1])
@@ -144,7 +161,7 @@ def _parse_hamiltonian(raw, d: int, where: str):
         raise CliInputError(f"{where}: expected an object")
     energies = _req(raw, "energies", where)
     if not isinstance(energies, list) or len(energies) != d or not all(
-        isinstance(x, (int, float)) for x in energies
+        _is_number(x) for x in energies
     ):
         raise CliInputError(f"{where}.energies: expected {d} numbers")
     basis = None
@@ -171,7 +188,7 @@ def _load_spec(path: str) -> dict:
     if not isinstance(raw, dict):
         raise CliInputError(f"{path}: top level must be an object")
     d = _req(raw, "dimension", path)
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise CliInputError(f"{path}.dimension: expected an integer >= 2")
     spec = {"dimension": d}
     spec["h_a"] = _parse_hamiltonian(_req(raw, "hamiltonian_a", path), d, f"{path}.hamiltonian_a")
@@ -184,7 +201,7 @@ def _load_spec(path: str) -> dict:
         )
     if "haar_seed" in uraw:
         hs = uraw["haar_seed"]
-        if not isinstance(hs, int) or hs < 0:
+        if not _is_int(hs) or hs < 0:
             raise CliInputError(f"{path}.unitary.haar_seed: expected a nonnegative integer")
         spec["unitary"] = haar_random_unitary(d, hs)
         spec["haar_seed"] = hs
@@ -197,7 +214,7 @@ def _load_spec(path: str) -> dict:
         raise CliInputError(f"{path}.visibility: expected an object")
     lam = _req(vraw, "lambda", f"{path}.visibility")
     gam = _req(vraw, "gamma", f"{path}.visibility")
-    if not all(isinstance(x, (int, float)) for x in (lam, gam)):
+    if not all(_is_number(x) for x in (lam, gam)):
         raise CliInputError(f"{path}.visibility: lambda and gamma must be numbers")
     try:
         spec["pair"] = VisibilityPair(float(lam), float(gam))
@@ -205,7 +222,7 @@ def _load_spec(path: str) -> dict:
         raise CliInputError(f"{path}.visibility: {exc}") from exc
 
     beta = raw.get("beta", 1.0)
-    if not isinstance(beta, (int, float)) or beta <= 0:
+    if not _is_number(beta) or beta <= 0:
         raise CliInputError(f"{path}.beta: expected a positive number")
     spec["beta"] = float(beta)
 
@@ -221,12 +238,12 @@ def _load_spec(path: str) -> dict:
     spec["f_kind"], spec["g_kind"] = fkind, gkind
 
     samples = raw.get("samples", 100000)
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise CliInputError(f"{path}.samples: expected a positive integer")
     spec["samples"] = samples
 
     seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
+    if seed is not None and (not _is_int(seed) or seed < 0):
         raise CliInputError(f"{path}.seed: expected a nonnegative integer")
     spec["seed"] = seed
     return spec

@@ -2,8 +2,8 @@
 
 Exact outcome distributions come from composing the four maps directly
 (first unsharp measurement with state update, unitary, second unsharp
-measurement). The Monte Carlo layer draws trajectories sequentially from
-the same pipeline; the fluctuation check compares all of this against the
+measurement). The Monte Carlo layer samples trajectories of the same
+pipeline; the fluctuation check compares all of this against the
 joint-observable algebra, which is an independent code path.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from . import _kernels
 from .errors import BasisMismatchError
 from .operators import SpectralHamiltonian, require_unitary
 from .povm import LuedersInstrument, Povm, luders_apply
@@ -116,7 +115,10 @@ def sample_gtpm(rho, inst: LuedersInstrument, u, b_povm: Povm, n: int, seed) -> 
 
     Each trajectory draws the first outcome from Tr[A_a rho], forms the
     normalized post-measurement state, evolves it, and draws the second
-    outcome. Deterministic per seed, identical across kernel backends.
+    outcome. The n trajectories are drawn together in two multinomial
+    stages: first-outcome counts, then each row's second outcomes from its
+    conditional distribution. That has exactly the law of n sequential
+    draws, costs O(m*n_b) whatever n is, and is deterministic per seed.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -140,10 +142,7 @@ def sample_gtpm(rho, inst: LuedersInstrument, u, b_povm: Povm, n: int, seed) -> 
             cond[a] = 1.0 / nb  # unreachable branch, never drawn
     p_first /= p_first.sum()
     rng = np.random.default_rng(seed)
-    u01 = rng.random((2, n))
-    cum_first = np.cumsum(p_first)
-    cum_cond = np.cumsum(cond, axis=1)
-    return _kernels.sample_counts(cum_first, cum_cond, u01[0], u01[1])
+    return rng.multinomial(rng.multinomial(n, p_first), cond)
 
 
 def fluctuation_residual(w_obs, inst: LuedersInstrument, u, b_povm: Povm, rho_diag: DiagonalState) -> float:

@@ -132,14 +132,6 @@ def jarzynski_assignment(
     return assignment
 
 
-def average_operator(p, f: EnergyAssignment) -> np.ndarray:
-    """Weighted effect sum: the operator whose expectation is the mean of f."""
-    effects = p.effects if hasattr(p, "effects") else np.asarray(p, dtype=np.complex128)
-    if effects.shape[0] != f.outcomes:
-        raise ValueError(f"{effects.shape[0]} effects vs {f.outcomes} assignment values")
-    return np.einsum("a,aij->ij", f.values, effects)
-
-
 @dataclass(frozen=True)
 class JointWorkObservable:
     """Grid of effects W_ab whose marginals are the two noisy measurements.

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from jointwork import _kernels
 from jointwork.operators import hamiltonian_from_energies, haar_random_unitary
 
 ACCEPTANCE_LINES = []
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    # trigger jit compilation outside any timed section
-    _kernels.warmup()
-    return _kernels.ACTIVE_BACKEND
 
 
 @pytest.fixture(scope="session")

@@ -246,7 +246,7 @@ def test_criterion_08_jarzynski_identity_exact(acceptance_log):
     )
 
 
-def test_criterion_09_jarzynski_identity_sampled(acceptance_log, warm_kernels):
+def test_criterion_09_jarzynski_identity_sampled(acceptance_log):
     t0 = time.perf_counter()
     d, beta, n = 2, 1.0, 1000000
     h_a, h_b, lam, gam = _jarzynski_setup(d, beta)
@@ -271,7 +271,7 @@ def test_criterion_09_jarzynski_identity_sampled(acceptance_log, warm_kernels):
     )
 
 
-def test_criterion_10_solver_reproduces_the_bound(acceptance_log, warm_kernels):
+def test_criterion_10_solver_reproduces_the_bound(acceptance_log):
     t0 = time.perf_counter()
     devs = []
     for d in (2, 3):
@@ -284,7 +284,7 @@ def test_criterion_10_solver_reproduces_the_bound(acceptance_log, warm_kernels):
     )
 
 
-def test_criterion_11_projective_no_go(acceptance_log, warm_kernels):
+def test_criterion_11_projective_no_go(acceptance_log):
     t0 = time.perf_counter()
     h = hamiltonian_from_energies([0.0, 1.0])
     res = solve_joint_feasibility(joint_feasibility_problem(h, h, HAD, 1.0, 1.0))

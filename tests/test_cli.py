@@ -129,6 +129,28 @@ def test_input_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_NUMBERS = {
+    "beta_nan": {"beta": float("nan")},
+    "beta_inf": {"beta": float("inf")},
+    "energy_inf": {"hamiltonian_a": {"energies": [0.0, float("inf")]}},
+    "energy_bool": {"hamiltonian_b": {"energies": [0.0, True]}},
+    "matrix_nan": {"unitary": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]}},
+    "lambda_nan": {"visibility": {"lambda": float("nan"), "gamma": 0.6}},
+    "gamma_bool": {"visibility": {"lambda": 0.6, "gamma": True}},
+    "dimension_bool": {"dimension": True},
+    "samples_bool": {"samples": True},
+    "seed_bool": {"seed": True},
+    "haar_seed_bool": {"unitary": {"haar_seed": True}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sample"])
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_spec_rejects_booleans_and_non_finite_numbers(tmp_path, capsys, command, case):
+    assert main([command, _write_spec(tmp_path, **BAD_NUMBERS[case])]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_with_haar_seed(tmp_path, capsys):
     spec = _write_spec(tmp_path, unitary={"haar_seed": 5})
     out = tmp_path / "r.jsonl"
@@ -182,7 +204,7 @@ def test_feasibility_rejects_bad_limits(capsys):
     capsys.readouterr()
 
 
-def test_feasibility_command(tmp_path, capsys, warm_kernels):
+def test_feasibility_command(tmp_path, capsys):
     out = tmp_path / "f.jsonl"
     rc = main(
         [

@@ -45,7 +45,7 @@ def test_sharp_visibility_is_expressible():
     assert prob.dim == 2
 
 
-def test_feasible_below_the_bound(warm_kernels):
+def test_feasible_below_the_bound():
     lam = symmetric_critical_visibility(2) - 0.05
     res = solve_joint_feasibility(_qubit_problem(lam))
     assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
@@ -58,7 +58,7 @@ def test_feasible_below_the_bound(warm_kernels):
     assert np.max(np.abs(grid.sum(axis=1) - _qubit_problem(lam).a_effects)) < 1e-6
 
 
-def test_warm_start_short_circuits(warm_kernels):
+def test_warm_start_short_circuits():
     lam = 0.6
     prob = _qubit_problem(lam)
     first = solve_joint_feasibility(prob)
@@ -68,20 +68,20 @@ def test_warm_start_short_circuits(warm_kernels):
     assert again.iterations <= 2
 
 
-def test_infeasible_projective_pair(warm_kernels):
+def test_infeasible_projective_pair():
     res = solve_joint_feasibility(_qubit_problem(1.0))
     assert res.status is FeasibilityStatus.INFEASIBLE
     assert res.gap > 0.1
 
 
-def test_infeasible_above_the_bound(warm_kernels):
+def test_infeasible_above_the_bound():
     lam = symmetric_critical_visibility(2) + 0.04
     res = solve_joint_feasibility(_qubit_problem(lam))
     assert res.status is FeasibilityStatus.INFEASIBLE
     assert res.gap > 1e-3
 
 
-def test_max_iterations_is_reported(warm_kernels):
+def test_max_iterations_is_reported():
     res = solve_joint_feasibility(_qubit_problem(1.0), max_iter=50)
     assert res.status is FeasibilityStatus.MAX_ITERATIONS
     assert res.iterations >= 50
@@ -101,7 +101,7 @@ def _conflicted_problem():
     )
 
 
-def test_positive_objective_when_diag_stats_conflict(warm_kernels):
+def test_positive_objective_when_diag_stats_conflict():
     # phase one stalls, phase two still finds a grid
     res = solve_joint_feasibility(_conflicted_problem())
     assert res.status is FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE
@@ -109,7 +109,7 @@ def test_positive_objective_when_diag_stats_conflict(warm_kernels):
     assert res.marginal_residual < 1e-6
 
 
-def test_phase_one_fails_without_a_zero_objective_grid(warm_kernels):
+def test_phase_one_fails_without_a_zero_objective_grid():
     # the sharp qubit pair stalls in the kernel
     _, (_, gap, _, code, _) = _phase_one(_qubit_problem(1.0), 1e-7, 20000)
     assert code == 1 and gap > 0.1
@@ -127,7 +127,7 @@ def test_status_enum_values():
     assert FeasibilityStatus.MAX_ITERATIONS.value == "MaxIterations"
 
 
-def test_haar_feasibility_matches_closed_form_region(warm_kernels, rng):
+def test_haar_feasibility_matches_closed_form_region(rng):
     h = hamiltonian_from_energies([0.0, 1.0, 2.0])
     lam_crit = symmetric_critical_visibility(3)
     for seed in (1, 2, 3):
@@ -138,7 +138,7 @@ def test_haar_feasibility_matches_closed_form_region(warm_kernels, rng):
         assert below.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
 
 
-def test_estimate_critical_visibility_qubit(warm_kernels):
+def test_estimate_critical_visibility_qubit():
     history = []
     est = estimate_critical_visibility(2, 10, resolution=2e-3, seed=4, history=history)
     assert abs(est - 1.0 / np.sqrt(2.0)) < 0.005
@@ -147,7 +147,7 @@ def test_estimate_critical_visibility_qubit(warm_kernels):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_estimate_verdicts_match_the_full_solver(d, warm_kernels):
+def test_estimate_verdicts_match_the_full_solver(d):
     history = []
     estimate_critical_visibility(
         d, 3, seed=5, resolution=0.02, max_iter=1500, history=history
@@ -166,7 +166,7 @@ def test_estimate_verdicts_match_the_full_solver(d, warm_kernels):
         assert ok == all(s is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE for s in statuses)
 
 
-def test_estimate_stops_at_float_resolution(warm_kernels):
+def test_estimate_stops_at_float_resolution():
     history = []
     est = estimate_critical_visibility(
         2, 1, resolution=1e-300, max_iter=200, history=history

@@ -154,3 +154,19 @@ def test_sample_gtpm_frequencies_converge(qubit):
     n = 400000
     freq = sample_gtpm(rho, inst, u, b_lab, n, 8) / n
     assert np.max(np.abs(freq - p)) < 5.0 / np.sqrt(n)
+
+
+def test_sample_gtpm_zero_probability_cells_get_no_counts():
+    # an energy eigenstate left alone by u = 1 is never found elsewhere by
+    # a sharp second measurement, whatever the noisy first outcome was
+    h = hamiltonian_from_energies([0.0, 1.0, 2.5])
+    inst = luders_instrument(noisy_effects(h, 0.6))
+    sharp = noisy_effects(h, 1.0).povm
+    rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
+    p = gtpm_distribution(rho, inst, np.eye(3), sharp)
+    assert (p == 0.0).sum() == 6  # every cell off the column b = 1
+    n = 100000
+    counts = sample_gtpm(rho, inst, np.eye(3), sharp, n, 3)
+    assert counts.sum() == n
+    assert np.all(counts[p == 0.0] == 0)
+    assert np.all(counts[:, 1] > 0)
