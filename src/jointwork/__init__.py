@@ -4,7 +4,7 @@ Builds the square-root joint observable for a pair of unsharp energy
 measurements around a unitary process, checks the closed-form visibility
 bounds, recovers average work and free energy differences from generalized
 two-point statistics, and probes the bounds numerically with a convex
-feasibility solver. Everything runs on numpy and scipy.
+feasibility solver. Everything runs on numpy alone.
 """
 
 from .bloch import (

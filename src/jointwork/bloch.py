@@ -261,16 +261,13 @@ def choi_positivity_margin(d: int, pair: VisibilityPair, restarts: int = 8, seed
     Computed in closed form, 1 - gamma + d*gamma/2 - d*gamma/(2*kappa), and
     cross-checked against direct numerical minimization over the constructed
     Choi matrix; disagreement beyond 1e-8 raises, since it would mean the
-    two derivations of the visibility bound drifted apart.
+    two derivations of the visibility bound drifted apart. choi_matrix
+    raises NonInvertibleInstrumentError when lam leaves no inverse channel.
     """
-    if pair.lam >= INVERTIBILITY_CUTOFF:
-        raise NonInvertibleInstrumentError(
-            f"visibility {pair.lam} leaves no invertible measurement channel"
-        )
+    numeric = product_state_minimum(choi_matrix(d, pair), d, restarts=restarts, seed=seed)
     k = kappa(d, pair.lam)
     g = pair.gamma
     closed = 1.0 - g + d * g / 2.0 - d * g / (2.0 * k)
-    numeric = product_state_minimum(choi_matrix(d, pair), d, restarts=restarts, seed=seed)
     if abs(closed - numeric) > 1e-8:
         raise ArithmeticError(
             f"closed-form margin {closed:.12e} and numerical minimum {numeric:.12e} disagree"

@@ -55,6 +55,9 @@ EXIT_INPUT = 2
 EXIT_PHYSICS = 3
 EXIT_SOLVER = 4
 
+# rng.multinomial takes the trajectory count as a C long
+SAMPLES_LIMIT = 2**63
+
 
 class CliInputError(Exception):
     pass
@@ -169,9 +172,7 @@ def _parse_hamiltonian(raw, d: int, where: str):
         basis = _parse_matrix(raw["basis"], d, f"{where}.basis")
     try:
         return hamiltonian_from_energies(np.asarray(energies, dtype=np.float64), basis)
-    except JointWorkError as exc:
-        raise CliInputError(f"{where}: {exc}") from exc
-    except ValueError as exc:
+    except (JointWorkError, ValueError) as exc:
         raise CliInputError(f"{where}: {exc}") from exc
 
 
@@ -238,8 +239,8 @@ def _load_spec(path: str) -> dict:
     spec["f_kind"], spec["g_kind"] = fkind, gkind
 
     samples = raw.get("samples", 100000)
-    if not _is_int(samples) or samples < 1:
-        raise CliInputError(f"{path}.samples: expected a positive integer")
+    if not _is_int(samples) or not 1 <= samples < SAMPLES_LIMIT:
+        raise CliInputError(f"{path}.samples: expected a positive integer below 2**63")
     spec["samples"] = samples
 
     seed = raw.get("seed")
@@ -263,6 +264,37 @@ def _make_assignment(kind: str, h, visibility: float, beta: float) -> EnergyAssi
     if kind == "corrected":
         return corrected_assignment(h, visibility)
     return jarzynski_assignment(h, beta, visibility)
+
+
+def _header(command: str, seed: int, fields: dict) -> dict:
+    """The first record of every report: command, inputs, seed and backend."""
+    return {
+        "record": "header",
+        "command": command,
+        **fields,
+        "seed": seed,
+        "backend": _kernels.ACTIVE_BACKEND,
+    }
+
+
+def _two_point_chain(h_a, h_b, u, pair: VisibilityPair, beta: float):
+    """The measured chain of one experiment: the joint observable, the Gibbs
+    state of the first Hamiltonian, the second measurement's lab POVM and the
+    exact two-point table p(a,b) on that state."""
+    w = build_joint_observable(h_a, h_b, u, pair)
+    gibbs = gibbs_state(h_a, beta)
+    b_lab = noisy_effects(h_b, pair.gamma).povm
+    return w, gibbs, b_lab, gtpm_distribution(gibbs.rho, w.instrument, u, b_lab)
+
+
+def _jarzynski_terms(w, h_a, h_b, beta: float, lam: float):
+    """exp(-beta w(a,b)) over the grid for the log-domain first assignment
+    and the bare second one, the reference exp(-beta dF), and dF. Raises
+    AssignmentDomainError when lam is too small for the log-domain values."""
+    f_jar = jarzynski_assignment(h_a, beta, lam)
+    weights = np.exp(-beta * w.work_values(f_jar, naive_assignment(h_b)))
+    delta_f = free_energy_difference(h_a, h_b, beta)
+    return weights, float(np.exp(-beta * delta_f)), delta_f
 
 
 # ------------------------------------------------------------------ commands
@@ -312,9 +344,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_run(args) -> int:
     spec = _load_spec(args.spec)
-    d = spec["dimension"]
-    pair = spec["pair"]
-    beta = spec["beta"]
+    d, pair, beta, n = spec["dimension"], spec["pair"], spec["beta"], spec["samples"]
     h_a, h_b, u = spec["h_a"], spec["h_b"], spec["unitary"]
     seed = _resolve_seed(args, spec["seed"])
     p = args.precision
@@ -327,12 +357,8 @@ def cmd_run(args) -> int:
             f"lambda={pair.lam}; rerun with --force to audit the violation"
         )
 
-    w = build_joint_observable(h_a, h_b, u, pair)
-    gibbs = gibbs_state(h_a, beta)
-    rho = gibbs.rho
-    b_lab = noisy_effects(h_b, pair.gamma).povm
-    p_exact = gtpm_distribution(rho, w.instrument, u, b_lab)
-    counts = sample_gtpm(rho, w.instrument, u, b_lab, spec["samples"], seed)
+    w, gibbs, b_lab, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
+    counts = sample_gtpm(gibbs.rho, w.instrument, u, b_lab, n, seed)
     freq = counts / counts.sum()
 
     try:
@@ -346,21 +372,10 @@ def cmd_run(args) -> int:
 
     fluct = fluctuation_residual(w, w.instrument, u, b_lab, gibbs.as_diagonal())
 
+    fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
+    fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
     records = [
-        {
-            "record": "header",
-            "command": "run",
-            "dimension": d,
-            "lambda": pair.lam,
-            "gamma": pair.gamma,
-            "beta": beta,
-            "samples": spec["samples"],
-            "seed": seed,
-            "haar_seed": spec["haar_seed"],
-            "backend": _kernels.ACTIVE_BACKEND,
-            "f_kind": spec["f_kind"],
-            "g_kind": spec["g_kind"],
-        },
+        _header("run", seed, fields),
         {
             "record": "bound_check",
             "gamma_bound": bound,
@@ -386,12 +401,9 @@ def cmd_run(args) -> int:
 
     jar_rec = {"record": "jarzynski"}
     try:
-        f_jar = jarzynski_assignment(h_a, beta, pair.lam)
-        wv_jar = w.work_values(f_jar, naive_assignment(h_b))
-        jar_exact = float(np.sum(p_exact * np.exp(-beta * wv_jar)))
-        jar_sampled = float(np.sum(freq * np.exp(-beta * wv_jar)))
-        delta_f = free_energy_difference(h_a, h_b, beta)
-        reference = float(np.exp(-beta * delta_f))
+        weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta, pair.lam)
+        jar_exact = float(np.sum(p_exact * weights))
+        jar_sampled = float(np.sum(freq * weights))
         jar_rec.update(
             {
                 "exact_sum": jar_exact,
@@ -466,7 +478,7 @@ def _verify_case(d: int, case_seed: int):
     pair = VisibilityPair(lam, gam)
     beta = rng.uniform(0.3, 2.0)
 
-    w = build_joint_observable(h_a, h_b, u, pair)
+    w, _, b_lab, p_gibbs = _two_point_chain(h_a, h_b, u, pair, beta)
     out = {
         "marginal": w.marginal_deviation,
         "completeness": float(
@@ -496,7 +508,6 @@ def _verify_case(d: int, case_seed: int):
 
     probs = rng.random(d)
     probs /= probs.sum()
-    b_lab = noisy_effects(h_b, gam).povm
     out["fluctuation"] = fluctuation_residual(
         w, w.instrument, u, b_lab, DiagonalState(probabilities=probs, basis=h_a)
     )
@@ -509,11 +520,8 @@ def _verify_case(d: int, case_seed: int):
     )
 
     try:
-        fj = jarzynski_assignment(h_a, beta, lam)
-        dist_p = gtpm_distribution(gibbs_state(h_a, beta).rho, inst, u, b_lab)
-        wv = w.work_values(fj, naive_assignment(h_b))
-        jar = float(np.sum(dist_p * np.exp(-beta * wv)))
-        out["jarzynski"] = abs(jar - np.exp(-beta * free_energy_difference(h_a, h_b, beta)))
+        weights, reference, _ = _jarzynski_terms(w, h_a, h_b, beta, lam)
+        out["jarzynski"] = abs(float(np.sum(p_gibbs * weights)) - reference)
     except AssignmentDomainError:
         out["jarzynski"] = None
     return out
@@ -541,16 +549,7 @@ def cmd_verify(args) -> int:
         raise CliInputError("--cases must be >= 1")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    records = [
-        {
-            "record": "header",
-            "command": "verify",
-            "dims": ",".join(map(str, dims)),
-            "cases": args.cases,
-            "seed": seed,
-            "backend": _kernels.ACTIVE_BACKEND,
-        }
-    ]
+    records = [_header("verify", seed, {"dims": ",".join(map(str, dims)), "cases": args.cases})]
     all_ok = True
     p = args.precision
     for d in dims:
@@ -584,8 +583,8 @@ def cmd_feasibility(args) -> int:
         raise CliInputError("--dim must be >= 2")
     if args.unitaries < 1:
         raise CliInputError("--unitaries must be >= 1")
-    if args.tol <= 0 or args.resolution <= 0:
-        raise CliInputError("--tol and --resolution must be positive")
+    if not (0.0 < args.tol < math.inf and 0.0 < args.resolution < math.inf):
+        raise CliInputError("--tol and --resolution must be positive and finite")
     if args.max_iter < 1:
         raise CliInputError("--max-iter must be >= 1")
     seed = _resolve_seed(args)
@@ -604,18 +603,8 @@ def cmd_feasibility(args) -> int:
         print(f"error: solver failed to bracket the transition: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     analytic = symmetric_critical_visibility(args.dim)
-    records = [
-        {
-            "record": "header",
-            "command": "feasibility",
-            "dim": args.dim,
-            "unitaries": args.unitaries,
-            "tol": args.tol,
-            "resolution": args.resolution,
-            "seed": seed,
-            "backend": _kernels.ACTIVE_BACKEND,
-        }
-    ]
+    fields = {k: vars(args)[k] for k in ("dim", "unitaries", "tol", "resolution")}
+    records = [_header("feasibility", seed, fields)]
     for lam, ok in history:
         records.append({"record": "probe", "visibility": lam, "feasible": ok})
     records.append(
@@ -642,58 +631,28 @@ def cmd_feasibility(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    pair = spec["pair"]
+    d, pair, beta = spec["dimension"], spec["pair"], spec["beta"]
     h_a, h_b, u = spec["h_a"], spec["h_b"], spec["unitary"]
     n = args.samples if args.samples is not None else spec["samples"]
-    if n < 1:
-        raise CliInputError("--samples must be >= 1")
+    if not 1 <= n < SAMPLES_LIMIT:
+        raise CliInputError("--samples must be >= 1 and below 2**63")
     seed = _resolve_seed(args, spec["seed"])
-    w = build_joint_observable(h_a, h_b, u, pair)
-    gibbs = gibbs_state(h_a, spec["beta"])
-    b_lab = noisy_effects(h_b, pair.gamma).povm
-    p_exact = gtpm_distribution(gibbs.rho, w.instrument, u, b_lab)
+    p = args.precision
+    w, gibbs, b_lab, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
     counts = sample_gtpm(gibbs.rho, w.instrument, u, b_lab, n, seed)
     freq = counts / counts.sum()
     dev = float(np.max(np.abs(freq - p_exact)))
-    records = [
-        {
-            "record": "header",
-            "command": "sample",
-            "dimension": spec["dimension"],
-            "lambda": pair.lam,
-            "gamma": pair.gamma,
-            "beta": spec["beta"],
-            "samples": n,
-            "seed": seed,
-            "backend": _kernels.ACTIVE_BACKEND,
-        }
-    ]
-    d = spec["dimension"]
+    fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
+    records = [_header("sample", seed, fields)]
+    _print_section("sample", [("samples", n), ("seed", seed), ("max_frequency_deviation", dev)], p)
     for a in range(d):
         for b in range(d):
+            count, f, exact = int(counts[a, b]), float(freq[a, b]), float(p_exact[a, b])
             records.append(
-                {
-                    "record": "cell",
-                    "a": a,
-                    "b": b,
-                    "count": int(counts[a, b]),
-                    "frequency": float(freq[a, b]),
-                    "exact": float(p_exact[a, b]),
-                }
+                {"record": "cell", "a": a, "b": b, "count": count, "frequency": f, "exact": exact}
             )
+            print(f"  ({a},{b}): count={count} freq={_fmt(f, p)} exact={_fmt(exact, p)}")
     records.append({"record": "summary", "max_frequency_deviation": dev})
-    _print_section(
-        "sample",
-        [("samples", n), ("seed", seed), ("max_frequency_deviation", dev)],
-        args.precision,
-    )
-    for rec in records:
-        if rec["record"] == "cell":
-            print(
-                f"  ({rec['a']},{rec['b']}): count={rec['count']} "
-                f"freq={_fmt(rec['frequency'], args.precision)} "
-                f"exact={_fmt(rec['exact'], args.precision)}"
-            )
     _emit(records, args)
     return EXIT_OK
 

@@ -66,11 +66,6 @@ class FeasibilityProblem:
     def dim(self) -> int:
         return self.a_effects.shape[1]
 
-    @property
-    def probe_projectors(self) -> np.ndarray:
-        v = self.probe_basis
-        return np.einsum("ik,jk->kij", v, v.conj())
-
 
 def joint_feasibility_problem(
     h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, u, lam: float, gamma: float
@@ -120,6 +115,17 @@ def _from_frame(grid, v):
     return np.einsum("ij,abjk,lk->abil", v, grid, v.conj())
 
 
+def _marginal_residual(problem: FeasibilityProblem, grid) -> float:
+    """Largest entrywise deviation of a lab-frame grid's row and column sums
+    from the two marginals."""
+    return float(
+        max(
+            np.max(np.abs(grid.sum(axis=1) - problem.a_effects)),
+            np.max(np.abs(grid.sum(axis=0) - problem.b_effects)),
+        )
+    )
+
+
 def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=None):
     """Phase one: project with the diagonal statistics pinned, in the probe
     frame (eigenbasis of the first Hamiltonian).
@@ -129,8 +135,8 @@ def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=Non
     kernel's run. Code 0 means the gap converged and the grid's marginals
     checked out, which alone decides FEASIBLE_ZERO_OBJECTIVE.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     v = problem.probe_basis
@@ -154,11 +160,7 @@ def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=Non
         # statistics are consistent with the marginals; a converged gap with
         # broken marginals means that consistency failed, so the pin has to
         # be dropped rather than trusted
-        grid0 = _from_frame(k_e, v)
-        m0 = max(
-            np.max(np.abs(grid0.sum(axis=1) - problem.a_effects)),
-            np.max(np.abs(grid0.sum(axis=0) - problem.b_effects)),
-        )
+        m0 = _marginal_residual(problem, _from_frame(k_e, v))
         code = 0 if m0 <= STALL_SCALE * tol else 1
     return (ae, be, tdiag), (k_e, gap, iters, code, trace)
 
@@ -202,15 +204,13 @@ def solve_joint_feasibility(
         np.sum(np.abs(np.diagonal(k_e, axis1=2, axis2=3).real - tdiag))
     )
     grid = _from_frame(k_e, problem.probe_basis)
-    res_a = np.max(np.abs(grid.sum(axis=1) - problem.a_effects))
-    res_b = np.max(np.abs(grid.sum(axis=0) - problem.b_effects))
     sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))
     return FeasibilityResult(
         status=status,
         grid=grid,
         objective=objective,
-        marginal_residual=float(max(res_a, res_b)),
+        marginal_residual=_marginal_residual(problem, grid),
         min_eigenvalue=min_eig,
         iterations=total,
         gap=float(gap),
@@ -241,8 +241,8 @@ def estimate_critical_visibility(
         raise ValueError(f"need at least one unitary, got {n_unitaries}")
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if resolution <= 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0.0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_unitaries)

@@ -2,8 +2,8 @@
 
 Exact outcome distributions come from composing the four maps directly
 (first unsharp measurement with state update, unitary, second unsharp
-measurement). The Monte Carlo layer samples trajectories of the same
-pipeline; the fluctuation check compares all of this against the
+measurement). The Monte Carlo layer draws trajectories from that same
+table; the fluctuation check compares all of this against the
 joint-observable algebra, which is an independent code path.
 """
 
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BasisMismatchError
-from .operators import SpectralHamiltonian, require_unitary
+from .operators import SpectralHamiltonian, logsumexp, require_unitary
 from .povm import LuedersInstrument, Povm, luders_apply
 
 DISTRIBUTION_TOL = 1e-10
@@ -113,33 +112,20 @@ def gtpm_distribution(rho, inst: LuedersInstrument, u, b_povm: Povm) -> np.ndarr
 def sample_gtpm(rho, inst: LuedersInstrument, u, b_povm: Povm, n: int, seed) -> np.ndarray:
     """Outcome counts from n sequentially simulated trajectories.
 
-    Each trajectory draws the first outcome from Tr[A_a rho], forms the
-    normalized post-measurement state, evolves it, and draws the second
-    outcome. The n trajectories are drawn together in two multinomial
-    stages: first-outcome counts, then each row's second outcomes from its
-    conditional distribution. That has exactly the law of n sequential
-    draws, costs O(m*n_b) whatever n is, and is deterministic per seed.
+    Each trajectory draws the first outcome a with probability
+    sum_b p(a,b) and then the second outcome b with probability
+    p(a,b) / sum_b p(a,b), where p is the exact table of gtpm_distribution
+    (its rounding-level negative entries clipped to zero). The n
+    trajectories are drawn together in two multinomial stages:
+    first-outcome counts, then each row's second outcomes. That has exactly
+    the law of n sequential draws, costs O(m*n_b) whatever n is, and is
+    deterministic per seed. A row of probability zero is never drawn.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    d = inst.dim
-    r = _validate_state(rho, d)
-    uu = require_unitary(u, name="process unitary")
-    m = inst.outcomes
-    nb = b_povm.outcomes
-    p_first = np.empty(m)
-    cond = np.empty((m, nb))
-    for a in range(m):
-        post = luders_apply(inst, a, r)
-        pa = float(np.trace(post).real)
-        p_first[a] = max(pa, 0.0)
-        if pa > 1e-15:
-            evolved = uu @ (post / pa) @ uu.conj().T
-            row = np.einsum("bij,ji->b", b_povm.effects, evolved).real
-            cond[a] = np.clip(row, 0.0, None)
-            cond[a] /= cond[a].sum()
-        else:
-            cond[a] = 1.0 / nb  # unreachable branch, never drawn
+    p = np.clip(gtpm_distribution(rho, inst, u, b_povm), 0.0, None)
+    p_first = p.sum(axis=1)
+    cond = np.divide(p, p_first[:, None], out=np.zeros_like(p), where=p_first[:, None] > 0.0)
     p_first /= p_first.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(rng.multinomial(n, p_first), cond)

@@ -57,6 +57,19 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
+def logsumexp(x) -> float:
+    """log(sum(exp(x))) of a finite real vector, by scipy.special.logsumexp's
+    algorithm: shift by the maximum, leave the maxima out of the exponential
+    sum s, count them as m, and return log1p(s/m) + log(m) + max.
+    """
+    a = np.asarray(x, dtype=np.float64)
+    top = np.max(a)
+    at_top = a == top
+    m = float(np.count_nonzero(at_top))
+    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
 def matrix_sqrt_psd(m, floor: float = PSD_FLOOR) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 

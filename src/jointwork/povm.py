@@ -20,7 +20,6 @@ from .operators import (
     SpectralHamiltonian,
     as_square_array,
     matrix_sqrt_psd,
-    require_hermitian,
     require_unitary,
 )
 

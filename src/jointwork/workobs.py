@@ -16,11 +16,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .bloch import VisibilityPair, gamma_bound
+from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
-from .operators import SpectralHamiltonian, require_hermitian, require_unitary
+from .operators import SpectralHamiltonian, logsumexp, require_hermitian, require_unitary
 from .povm import (
     Povm,
     check_marginals,
@@ -147,7 +146,6 @@ class JointWorkObservable:
     a_povm: object
     b_povm: Povm
     instrument: object
-    gamma_limit: float
     min_effect_eigenvalue: float
     min_effect_index: tuple
     marginal_deviation: float
@@ -202,7 +200,6 @@ def build_joint_observable(
         a_povm=a_povm,
         b_povm=b_heis,
         instrument=inst,
-        gamma_limit=gamma_bound(d, pair.lam),
         min_effect_eigenvalue=float(eigs[:, :, 0].min()),
         min_effect_index=min_idx,
         marginal_deviation=dev,

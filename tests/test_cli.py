@@ -139,6 +139,7 @@ BAD_NUMBERS = {
     "gamma_bool": {"visibility": {"lambda": 0.6, "gamma": True}},
     "dimension_bool": {"dimension": True},
     "samples_bool": {"samples": True},
+    "samples_beyond_c_long": {"samples": 2**63},
     "seed_bool": {"seed": True},
     "haar_seed_bool": {"unitary": {"haar_seed": True}},
 }
@@ -172,6 +173,13 @@ def test_sample_deterministic(tmp_path, capsys):
     assert sum(c["count"] for c in cells) == 20000
 
 
+def test_sample_rejects_out_of_range_samples_flag(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    assert main(["sample", spec, "--samples", "0"]) == 2
+    assert main(["sample", spec, "--samples", str(2**63)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sample_csv_triplets(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     out = tmp_path / "s.csv"
@@ -199,6 +207,9 @@ def test_feasibility_rejects_bad_limits(capsys):
     assert main(["feasibility", "--unitaries", "0"]) == 2
     assert main(["feasibility", "--tol", "0"]) == 2
     assert main(["feasibility", "--resolution", "0"]) == 2
+    for bad in ("nan", "inf", "-inf"):
+        assert main(["feasibility", f"--tol={bad}"]) == 2
+        assert main(["feasibility", f"--resolution={bad}", "--max-iter", "50"]) == 2
     assert main(["feasibility", "--max-iter", "0"]) == 2
     assert main(["feasibility", "--max-iter", "-5"]) == 2
     capsys.readouterr()

@@ -186,6 +186,11 @@ def test_estimate_rejects_bad_arguments():
         estimate_critical_visibility(2, 5, tol=0.0)
     with pytest.raises(ValueError):
         estimate_critical_visibility(2, 5, max_iter=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            estimate_critical_visibility(2, 5, resolution=bad)
+        with pytest.raises(ValueError):
+            estimate_critical_visibility(2, 5, tol=bad)
     with pytest.raises(ValueError):
         solve_joint_feasibility(_qubit_problem(0.6), max_iter=0)
     with pytest.raises(ValueError):

@@ -130,6 +130,23 @@ def test_sample_gtpm_deterministic_and_normalized(qubit):
     assert not np.array_equal(c1, c3)
 
 
+def test_sample_gtpm_seed_stream_pinned():
+    # exact count tables per seed: a change here changes every sampled report
+    h_a = hamiltonian_from_energies([0.0, 1.0])
+    h_b = hamiltonian_from_energies([0.0, 2.0])
+    inst = luders_instrument(noisy_effects(h_a, 0.6))
+    b_lab = noisy_effects(h_b, 0.6).povm
+    counts = sample_gtpm(gibbs_state(h_a, 1.0).rho, inst, np.eye(2), b_lab, 50000, 11)
+    assert counts.tolist() == [[23860, 8148], [7861, 10131]]
+
+    h = hamiltonian_from_energies([0.0, 0.7, 1.9])
+    inst = luders_instrument(noisy_effects(h, 0.7))
+    b_lab = noisy_effects(h, 0.5).povm
+    u = haar_random_unitary(3, 4)
+    counts = sample_gtpm(gibbs_state(h, 0.8).rho, inst, u, b_lab, 123457, 5)
+    assert counts.tolist() == [[13410, 13659, 33710], [12764, 17281, 9865], [8251, 7084, 7433]]
+
+
 def test_sample_gtpm_chi_square_calibration():
     # counts against the exact law: the 99.9% quantile should be exceeded
     # in at most ~0.1% of runs; demand >= 99 of 100 seeds inside
@@ -170,3 +187,9 @@ def test_sample_gtpm_zero_probability_cells_get_no_counts():
     assert counts.sum() == n
     assert np.all(counts[p == 0.0] == 0)
     assert np.all(counts[:, 1] > 0)
+    # a sharp first measurement never finds the empty levels: two whole
+    # rows of the table are zero and are never drawn
+    sharp_first = luders_instrument(noisy_effects(h, 1.0))
+    counts = sample_gtpm(rho, sharp_first, np.eye(3), noisy_effects(h, 0.5).povm, n, 3)
+    assert counts.sum() == n
+    assert not counts[[0, 2]].any()

@@ -11,12 +11,26 @@ from jointwork.operators import (
     SpectralHamiltonian,
     haar_random_unitary,
     hamiltonian_from_energies,
+    logsumexp,
     matrix_sqrt_psd,
     min_eigenvalue,
     require_hermitian,
     require_unitary,
     spectral_decompose,
 )
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    # same algorithm as the reference, so equal bits, ties among the maxima included
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(3)
+    for i in range(2000):
+        d = int(rng.integers(1, 9))
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        if i % 2:
+            x = np.round(x)  # repeated entries
+        assert logsumexp(x) == float(special.logsumexp(x))
+    assert logsumexp([-800.0, -800.0]) == -800.0 + np.log(2.0)
 
 
 def test_require_hermitian_accepts_and_symmetrizes():
