@@ -211,48 +211,67 @@ def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     return dm
 
 
-def _product_expectation(dm_tensor, a, b):
-    return np.einsum("i,k,ikjl,j,l->", a.conj(), b.conj(), dm_tensor, a, b).real
+def _outer(v: np.ndarray) -> np.ndarray:
+    """Rows conj(v_k) v_l of a stack of vectors, flattened to (n, d*d)."""
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+
+
+def _lowest_eigenvectors(m: np.ndarray, d: int) -> np.ndarray:
+    """Lowest eigenvector of the Hermitian part of each flattened d x d row."""
+    m = m.reshape(-1, d, d)
+    return np.linalg.eigh(0.5 * (m + m.conj().transpose(0, 2, 1)))[1][:, :, 0]
 
 
 def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int = 0) -> float:
     """Minimum of <a x b| D |a x b> over product states, by alternating
-    eigenvector descent with random restarts.
+    eigenvector descent from restarts + 1 starts.
 
     The first start is the known analytic minimizer support pattern
     (equal weight on the first two levels, opposite relative sign), which
-    makes the boundary case exact; restarts guard against other basins.
+    makes the boundary case exact; the random restarts, drawn from
+    default_rng(seed), guard against other basins. All starts advance in
+    lockstep: with P[(i,j),(k,l)] = D[(i,k),(j,l)], one step sets a to the
+    lowest eigenvector of P (b* x b), then b to that of P^T (a* x a), for
+    every start at once. A start stops once one step moves its expectation
+    by at most 1e-14, or after 500 steps; the result is the minimum over
+    the starts' last expectations.
+
+    Raises ValueError unless d >= 2, restarts >= 0 and D is a finite
+    (d*d, d*d) matrix, and NotHermitianError if D is not Hermitian.
     """
-    t = dm.reshape(d, d, d, d)
+    if d < 2:
+        raise ValueError(f"product states need d >= 2, got {d}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    dm = require_hermitian(dm, name="Choi matrix")
+    if dm.shape != (d * d, d * d):
+        raise ValueError(f"Choi matrix for d={d} needs shape {(d * d, d * d)}, got {dm.shape}")
+    p = dm.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     rng = np.random.default_rng(seed)
-    starts = []
-    a0 = np.zeros(d, dtype=np.complex128)
-    b0 = np.zeros(d, dtype=np.complex128)
-    a0[0] = a0[1] = 1.0 / np.sqrt(2.0)
-    b0[0] = 1.0 / np.sqrt(2.0)
-    b0[1] = -1.0 / np.sqrt(2.0)
-    starts.append((a0, b0))
-    for _ in range(restarts):
+    a = np.zeros((restarts + 1, d), dtype=np.complex128)
+    b = np.zeros((restarts + 1, d), dtype=np.complex128)
+    a[0, :2] = 1.0 / np.sqrt(2.0)
+    b[0, :2] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+    for s in range(1, restarts + 1):
         ra = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         rb = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append((ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)))
+        a[s], b[s] = ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)
+    bb = _outer(b)
+    val = (bb * (_outer(a) @ p)).sum(axis=1).real
     best = np.inf
-    for a, b in starts:
-        val = _product_expectation(t, a, b)
-        for _ in range(500):
-            ma = np.einsum("k,ikjl,l->ij", b.conj(), t, b)
-            w, v = np.linalg.eigh(0.5 * (ma + ma.conj().T))
-            a = v[:, 0]
-            mb = np.einsum("i,ikjl,j->kl", a.conj(), t, a)
-            w, v = np.linalg.eigh(0.5 * (mb + mb.conj().T))
-            b = v[:, 0]
-            new = _product_expectation(t, a, b)
-            if abs(val - new) <= 1e-14:
-                val = new
+    for _ in range(500):
+        a = _lowest_eigenvectors(bb @ p.T, d)
+        mb = _outer(a) @ p
+        bb = _outer(_lowest_eigenvectors(mb, d))
+        new = (bb * mb).sum(axis=1).real
+        done = np.abs(val - new) <= 1e-14
+        val = new
+        if done.any():
+            best = min(best, val[done].min())
+            bb, val = bb[~done], val[~done]
+            if not len(val):
                 break
-            val = new
-        best = min(best, val)
-    return float(best)
+    return float(min(best, val.min(initial=np.inf)))
 
 
 def choi_positivity_margin(d: int, pair: VisibilityPair, restarts: int = 8, seed: int = 0) -> float:

@@ -9,7 +9,9 @@ Commands:
     sample       Monte Carlo counts for one experiment file
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 inadmissible physics parameters, 4 solver non-convergence.
+3 inadmissible physics parameters, 4 solver non-convergence,
+141 standard output closed early (as by `jointwork bounds 2 64 | head -1`;
+the rest of the command, --output included, is abandoned).
 
 Experiment files are JSON: energies as lists, matrices row-major with
 [re, im] entry pairs, unitaries either explicit or {"haar_seed": n}.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 
@@ -40,7 +43,7 @@ from .gtpm import (
     sample_gtpm,
 )
 from .operators import haar_random_unitary, hamiltonian_from_energies
-from .povm import inverse_instrument_channel, instrument_channel, noisy_effects
+from .povm import inverse_instrument_channel, instrument_channel
 from .workobs import (
     EnergyAssignment,
     build_joint_observable,
@@ -54,6 +57,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_PHYSICS = 3
 EXIT_SOLVER = 4
+# what a shell reports for a process killed by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 # rng.multinomial takes the trajectory count as a C long
 SAMPLES_LIMIT = 2**63
@@ -278,13 +283,12 @@ def _header(command: str, seed: int, fields: dict) -> dict:
 
 
 def _two_point_chain(h_a, h_b, u, pair: VisibilityPair, beta: float):
-    """The measured chain of one experiment: the joint observable, the Gibbs
-    state of the first Hamiltonian, the second measurement's lab POVM and the
-    exact two-point table p(a,b) on that state."""
+    """The measured chain of one experiment: the joint observable (which
+    carries the second measurement's lab POVM as w.b_lab), the Gibbs state of
+    the first Hamiltonian and the exact two-point table p(a,b) on that state."""
     w = build_joint_observable(h_a, h_b, u, pair)
     gibbs = gibbs_state(h_a, beta)
-    b_lab = noisy_effects(h_b, pair.gamma).povm
-    return w, gibbs, b_lab, gtpm_distribution(gibbs.rho, w.instrument, u, b_lab)
+    return w, gibbs, gtpm_distribution(gibbs.rho, w.instrument, u, w.b_lab)
 
 
 def _jarzynski_terms(w, h_a, h_b, beta: float, lam: float):
@@ -357,8 +361,8 @@ def cmd_run(args) -> int:
             f"lambda={pair.lam}; rerun with --force to audit the violation"
         )
 
-    w, gibbs, b_lab, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(gibbs.rho, w.instrument, u, b_lab, n, seed)
+    w, gibbs, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
+    counts = sample_gtpm(gibbs.rho, w.instrument, u, w.b_lab, n, seed)
     freq = counts / counts.sum()
 
     try:
@@ -370,7 +374,7 @@ def cmd_run(args) -> int:
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
 
-    fluct = fluctuation_residual(w, w.instrument, u, b_lab, gibbs.as_diagonal())
+    fluct = fluctuation_residual(w, w.instrument, u, w.b_lab, gibbs.as_diagonal())
 
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
@@ -478,7 +482,7 @@ def _verify_case(d: int, case_seed: int):
     pair = VisibilityPair(lam, gam)
     beta = rng.uniform(0.3, 2.0)
 
-    w, _, b_lab, p_gibbs = _two_point_chain(h_a, h_b, u, pair, beta)
+    w, _, p_gibbs = _two_point_chain(h_a, h_b, u, pair, beta)
     out = {
         "marginal": w.marginal_deviation,
         "completeness": float(
@@ -509,7 +513,7 @@ def _verify_case(d: int, case_seed: int):
     probs = rng.random(d)
     probs /= probs.sum()
     out["fluctuation"] = fluctuation_residual(
-        w, w.instrument, u, b_lab, DiagonalState(probabilities=probs, basis=h_a)
+        w, w.instrument, u, w.b_lab, DiagonalState(probabilities=probs, basis=h_a)
     )
 
     y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -638,8 +642,8 @@ def cmd_sample(args) -> int:
         raise CliInputError("--samples must be >= 1 and below 2**63")
     seed = _resolve_seed(args, spec["seed"])
     p = args.precision
-    w, gibbs, b_lab, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(gibbs.rho, w.instrument, u, b_lab, n, seed)
+    w, gibbs, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
+    counts = sample_gtpm(gibbs.rho, w.instrument, u, w.b_lab, n, seed)
     freq = counts / counts.sum()
     dev = float(np.max(np.abs(freq - p_exact)))
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
@@ -724,7 +728,14 @@ def main(argv=None) -> int:
         print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so that
+        # the flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

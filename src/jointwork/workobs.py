@@ -144,7 +144,8 @@ class JointWorkObservable:
     unitary: np.ndarray
     effects: np.ndarray  # (d, d, d, d) grid, first index a, second b
     a_povm: object
-    b_povm: Povm
+    b_povm: Povm  # second measurement in the Heisenberg picture, U^dag B_b U
+    b_lab: Povm  # the same measurement's lab-frame effects B_b
     instrument: object
     min_effect_eigenvalue: float
     min_effect_index: tuple
@@ -199,6 +200,7 @@ def build_joint_observable(
         effects=w,
         a_povm=a_povm,
         b_povm=b_heis,
+        b_lab=b_lab.povm,
         instrument=inst,
         min_effect_eigenvalue=float(eigs[:, :, 0].min()),
         min_effect_index=min_idx,

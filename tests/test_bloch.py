@@ -18,7 +18,7 @@ from jointwork.bloch import (
     symmetric_critical_visibility,
     to_bloch,
 )
-from jointwork.errors import NonlinearMapError
+from jointwork.errors import NonlinearMapError, NotHermitianError
 from jointwork.operators import hamiltonian_from_energies
 from jointwork.povm import depolarize, instrument_channel, luders_instrument, noisy_effects
 
@@ -172,6 +172,99 @@ def test_product_minimum_closed_form_anchor():
     pair = VisibilityPair(0.5, 0.5)
     got = product_state_minimum(choi_matrix(2, pair), 2)
     assert abs(got - 0.42264973081037416) < 1e-10
+
+
+def _sequential_product_minimum(dm, d, restarts=8, seed=0):
+    # reference: the same starts and stop test, one start after another
+    t = dm.reshape(d, d, d, d)
+
+    def expectation(a, b):
+        return np.einsum("i,k,ikjl,j,l->", a.conj(), b.conj(), t, a, b).real
+
+    rng = np.random.default_rng(seed)
+    a0 = np.zeros(d, dtype=np.complex128)
+    b0 = np.zeros(d, dtype=np.complex128)
+    a0[0] = a0[1] = 1.0 / np.sqrt(2.0)
+    b0[0] = 1.0 / np.sqrt(2.0)
+    b0[1] = -1.0 / np.sqrt(2.0)
+    starts = [(a0, b0)]
+    for _ in range(restarts):
+        ra = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rb = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        starts.append((ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)))
+    best = np.inf
+    for a, b in starts:
+        val = expectation(a, b)
+        for _ in range(500):
+            ma = np.einsum("k,ikjl,l->ij", b.conj(), t, b)
+            a = np.linalg.eigh(0.5 * (ma + ma.conj().T))[1][:, 0]
+            mb = np.einsum("i,ikjl,j->kl", a.conj(), t, a)
+            b = np.linalg.eigh(0.5 * (mb + mb.conj().T))[1][:, 0]
+            new = expectation(a, b)
+            if abs(val - new) <= 1e-14:
+                val = new
+                break
+            val = new
+        best = min(best, val)
+    return float(best)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lockstep_minimum_matches_sequential_on_choi_grid(d):
+    for lam in np.linspace(0.1, 0.9, 5):
+        for gam in np.linspace(0.1, 0.9, 5):
+            dm = choi_matrix(d, VisibilityPair(lam, gam))
+            assert abs(product_state_minimum(dm, d) - _sequential_product_minimum(dm, d)) < 1e-12
+
+
+def _traceless_hermitian(d, rng):
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = x + x.conj().T
+    return h - np.trace(h).real / d * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_lockstep_minimum_matches_sequential_on_product_operators(d, rng):
+    # <a x b| A x B |a x b> = <a|A|a><b|B|b>: with A and B indefinite the
+    # search has one basin per sign of <b|B|b>, and the minimum is the
+    # smallest product of extreme eigenvalues
+    for seed in range(4):
+        a_op, b_op = _traceless_hermitian(d, rng), _traceless_hermitian(d, rng)
+        ea, eb = np.linalg.eigvalsh(a_op), np.linalg.eigvalsh(b_op)
+        want = min(x * y for x in ea[[0, -1]] for y in eb[[0, -1]])
+        dm = np.kron(a_op, b_op)
+        got = product_state_minimum(dm, d, seed=seed)
+        assert abs(got - _sequential_product_minimum(dm, d, seed=seed)) < 1e-12
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_product_minimum_restart_count_and_seed():
+    dm = choi_matrix(3, VisibilityPair(0.3, 0.7))
+    for restarts, seed in [(0, 0), (1, 5), (20, 7)]:
+        got = product_state_minimum(dm, 3, restarts=restarts, seed=seed)
+        assert abs(got - _sequential_product_minimum(dm, 3, restarts, seed)) < 1e-12
+
+
+def test_product_minimum_rejects_bad_input():
+    dm = choi_matrix(2, VisibilityPair(0.5, 0.5))
+    with pytest.raises(ValueError):
+        product_state_minimum(np.full((4, 4), np.nan), 2)
+    with pytest.raises(ValueError):
+        product_state_minimum(np.where(np.eye(4) > 0, np.inf, dm), 2)
+    with pytest.raises(ValueError):
+        product_state_minimum(np.ones((1, 1)), 1)
+    with pytest.raises(ValueError):
+        product_state_minimum(dm.ravel(), 2)
+    with pytest.raises(ValueError):
+        product_state_minimum(dm.reshape(2, 8), 2)
+    with pytest.raises(ValueError):
+        product_state_minimum(dm, 3)
+    with pytest.raises(ValueError):
+        product_state_minimum(dm, 2, restarts=-1)
+    skew = dm.copy()
+    skew[0, 1] += 1e-3
+    with pytest.raises(NotHermitianError):
+        product_state_minimum(skew, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointwork.cli import main
+import jointwork
+from jointwork.cli import EXIT_BROKEN_PIPE, main
 
 QUBIT_SPEC = {
     "dimension": 2,
@@ -239,3 +244,24 @@ def test_feasibility_command(tmp_path, capsys):
     est = next(r for r in records if r["record"] == "estimate")
     assert abs(est["critical_visibility"] - 1.0 / np.sqrt(2.0)) < 0.01
     assert any(r["record"] == "probe" for r in records)
+
+
+@pytest.mark.parametrize(
+    "argv", [["bounds", "2", "64"], ["verify", "--dims", "2", "--cases", "2", "--seed", "1"]]
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader is gone before the first write, as when `| head -1` has
+    # already taken its line
+    src = str(Path(jointwork.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointwork.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
