@@ -20,7 +20,6 @@ from .bloch import (
     lambda_mub,
     lambda_opt,
     product_state_minimum,
-    reference_visibilities,
     symmetric_critical_visibility,
     to_bloch,
 )

@@ -14,25 +14,23 @@ ACTIVE_BACKEND = "numpy"
 HAVE_NUMBA = False
 
 
-def dykstra(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
+def dykstra(a_eff, b_eff, diag_target, use_stats, x0, tol, max_iter,
             stall_window, stall_scale):
     """Alternating projections with Dykstra corrections, batched numpy.
 
     a_eff (m,d,d) and b_eff (n,d,d) are the required row/column sums of the
     grid; diag_target (m,n,d) pins per-block diagonals when use_stats is on.
-    Returns (grid, gap, iterations, code, gap_trace).
+    Needs max_iter >= 1. Returns (grid, gap, iterations, code), with gap the
+    distance between the last PSD iterate and the last affine one.
     """
-    m, n, d = start.shape[0], start.shape[1], start.shape[2]
-    x = start.copy()
+    m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
+    x = x0.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    trace = np.empty(max_iter, dtype=np.float64)
     didx = np.arange(d)
     best = np.inf
     since = 0
     code = 2
-    iters = 0
-    z = x
     for it in range(max_iter):
         g = x + p
         h = 0.5 * (g + g.conj().swapaxes(-1, -2))
@@ -49,8 +47,6 @@ def dykstra(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
             z[:, :, didx, didx] = diag_target
         q = g2 - z
         gap = float(np.linalg.norm(y - z))
-        trace[it] = gap
-        iters = it + 1
         if gap <= tol:
             code = 0
             break
@@ -63,4 +59,4 @@ def dykstra(a_eff, b_eff, diag_target, use_stats, start, tol, max_iter,
                 code = 1
                 break
         x = z
-    return z, float(trace[iters - 1]), iters, code, trace[:iters].copy()
+    return z, gap, it + 1, code

@@ -162,11 +162,6 @@ def lambda_mub(d: int, printed: bool = False) -> float:
     return 0.5 * (1.0 + inner)
 
 
-def reference_visibilities(d: int, printed_mub: bool = False) -> tuple:
-    """(lambda_opt, lambda_mub) reference curve values for dimension d."""
-    return lambda_opt(d), lambda_mub(d, printed=printed_mub)
-
-
 @dataclass(frozen=True)
 class VisibilityPair:
     """Visibilities of the first (lam) and second (gamma) noisy measurement."""

@@ -263,12 +263,17 @@ def _resolve_seed(args, spec_seed=None) -> int:
     return secrets.randbits(63)
 
 
-def _make_assignment(kind: str, h, visibility: float, beta: float) -> EnergyAssignment:
-    if kind == "naive":
-        return naive_assignment(h)
-    if kind == "corrected":
-        return corrected_assignment(h, visibility)
-    return jarzynski_assignment(h, beta, visibility)
+def _make_assignment(label: str, kind: str, h, visibility: float, beta: float) -> EnergyAssignment:
+    """The requested assignment for measurement `label` (f or g). Raises
+    CliPhysicsError when its values are undefined or overflow."""
+    try:
+        if kind == "naive":
+            return naive_assignment(h)
+        if kind == "corrected":
+            return corrected_assignment(h, visibility)
+        return jarzynski_assignment(h, beta, visibility)
+    except (AssignmentDomainError, ValueError) as exc:
+        raise CliPhysicsError(f"requested {label} assignment undefined: {exc}") from exc
 
 
 def _header(command: str, seed: int, fields: dict) -> dict:
@@ -362,19 +367,16 @@ def cmd_run(args) -> int:
         )
 
     w, gibbs, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(gibbs.rho, w.instrument, u, w.b_lab, n, seed)
+    counts = sample_gtpm(p_exact, n, seed)
     freq = counts / counts.sum()
 
-    try:
-        f_assign = _make_assignment(spec["f_kind"], h_a, pair.lam, beta)
-    except AssignmentDomainError as exc:
-        raise CliPhysicsError(f"requested f assignment undefined: {exc}") from exc
-    g_assign = _make_assignment(spec["g_kind"], h_b, pair.gamma, beta)
+    f_assign = _make_assignment("f", spec["f_kind"], h_a, pair.lam, beta)
+    g_assign = _make_assignment("g", spec["g_kind"], h_b, pair.gamma, beta)
     wvals = w.work_values(f_assign, g_assign)
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
 
-    fluct = fluctuation_residual(w, w.instrument, u, w.b_lab, gibbs.as_diagonal())
+    fluct = fluctuation_residual(w, gibbs.as_diagonal())
 
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
@@ -512,9 +514,7 @@ def _verify_case(d: int, case_seed: int):
 
     probs = rng.random(d)
     probs /= probs.sum()
-    out["fluctuation"] = fluctuation_residual(
-        w, w.instrument, u, w.b_lab, DiagonalState(probabilities=probs, basis=h_a)
-    )
+    out["fluctuation"] = fluctuation_residual(w, DiagonalState(probabilities=probs, basis=h_a))
 
     y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     y = 0.5 * (y + y.conj().T)
@@ -642,8 +642,8 @@ def cmd_sample(args) -> int:
         raise CliInputError("--samples must be >= 1 and below 2**63")
     seed = _resolve_seed(args, spec["seed"])
     p = args.precision
-    w, gibbs, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(gibbs.rho, w.instrument, u, w.b_lab, n, seed)
+    _, _, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
+    counts = sample_gtpm(p_exact, n, seed)
     freq = counts / counts.sum()
     dev = float(np.max(np.abs(freq - p_exact)))
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}

@@ -8,7 +8,7 @@ constraint set (closed form, entrywise) and the product of PSD cones
 (eigenvalue clipping). Two phases: first with the diagonal statistics
 folded into the affine set (zero objective), then, if that stalls, with
 marginals only. A stall in both phases is the infeasibility certificate;
-the gap trace is returned for audit.
+the result carries the final gap and the total iteration count.
 """
 
 from __future__ import annotations
@@ -100,11 +100,9 @@ class FeasibilityResult:
     min_eigenvalue: float
     iterations: int
     gap: float
-    gap_trace: np.ndarray
 
     def __post_init__(self):
         self.grid.setflags(write=False)
-        self.gap_trace.setflags(write=False)
 
 
 def _to_frame(grid, v):
@@ -126,14 +124,15 @@ def _marginal_residual(problem: FeasibilityProblem, grid) -> float:
     )
 
 
-def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=None):
+def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int):
     """Phase one: project with the diagonal statistics pinned, in the probe
-    frame (eigenbasis of the first Hamiltonian).
+    frame (eigenbasis of the first Hamiltonian), starting from the target
+    grid.
 
-    Returns ((a_effects, b_effects, diagonal targets), (grid, gap,
-    iterations, code, trace)): the frame data phase two reuses, then the
-    kernel's run. Code 0 means the gap converged and the grid's marginals
-    checked out, which alone decides FEASIBLE_ZERO_OBJECTIVE.
+    Returns (a_effects, b_effects, diagonal targets, grid, gap, iterations,
+    code): the frame data phase two reuses, then the kernel's run. Code 0
+    means the gap converged and the grid's marginals checked out, which
+    alone decides FEASIBLE_ZERO_OBJECTIVE.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -144,15 +143,8 @@ def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=Non
     be = np.einsum("ji,ajk,kl->ail", v.conj(), problem.b_effects, v)
     te = _to_frame(problem.targets, v)
     tdiag = np.ascontiguousarray(np.diagonal(te, axis1=2, axis2=3).real)
-    if start is None:
-        start_e = te.copy()
-    else:
-        s = np.asarray(start, dtype=np.complex128)
-        if s.shape != problem.targets.shape:
-            raise ValueError(f"start shape {s.shape} != {problem.targets.shape}")
-        start_e = _to_frame(s, v)
-    k_e, gap, iters, code, trace = _kernels.dykstra(
-        ae, be, tdiag, True, start_e, tol, max_iter, STALL_WINDOW, STALL_SCALE
+    k_e, gap, iters, code = _kernels.dykstra(
+        ae, be, tdiag, True, te, tol, max_iter, STALL_WINDOW, STALL_SCALE
     )
     if code == 0:
         # pinning the diagonal and matching the marginals are applied as one
@@ -162,38 +154,31 @@ def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int, start=Non
         # be dropped rather than trusted
         m0 = _marginal_residual(problem, _from_frame(k_e, v))
         code = 0 if m0 <= STALL_SCALE * tol else 1
-    return (ae, be, tdiag), (k_e, gap, iters, code, trace)
+    return ae, be, tdiag, k_e, gap, iters, code
 
 
 def solve_joint_feasibility(
-    problem: FeasibilityProblem,
-    tol: float = 1e-7,
-    max_iter: int = 20000,
-    start: Optional[np.ndarray] = None,
+    problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
 ) -> FeasibilityResult:
     """Run the two-phase projection scheme; never raises on non-convergence,
     the status field carries the verdict.
 
-    With `start` given (lab frame) the iteration begins there; the default
-    start is the target grid itself, which already satisfies the A-marginal
-    and the diagonal statistics, leaving only the B-marginal and positivity
-    to reconcile. Raises ValueError unless tol > 0 and max_iter >= 1.
+    The iteration starts at the target grid itself, which already satisfies
+    the A-marginal and the diagonal statistics, leaving only the B-marginal
+    and positivity to reconcile. Raises ValueError unless tol > 0 and
+    max_iter >= 1.
     """
-    (ae, be, tdiag), (k_e, gap, iters, code, trace) = _phase_one(
-        problem, tol, max_iter, start
-    )
+    ae, be, tdiag, k_e, gap, iters, code = _phase_one(problem, tol, max_iter)
     total = iters
-    traces = [trace]
     if code == 0:
         status = FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
     elif code == 2:
         status = FeasibilityStatus.MAX_ITERATIONS
     else:
-        k_e, gap, iters2, code2, trace2 = _kernels.dykstra(
+        k_e, gap, iters2, code2 = _kernels.dykstra(
             ae, be, tdiag, False, k_e, tol, max_iter, STALL_WINDOW, STALL_SCALE
         )
         total += iters2
-        traces.append(trace2)
         if code2 == 0:
             status = FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE
         elif code2 == 1:
@@ -214,7 +199,6 @@ def solve_joint_feasibility(
         min_eigenvalue=min_eig,
         iterations=total,
         gap=float(gap),
-        gap_trace=np.concatenate(traces),
     )
 
 
@@ -250,8 +234,7 @@ def estimate_critical_visibility(
 
     def certified(u, lam):
         pr = joint_feasibility_problem(h, h, u, lam, lam)
-        _, run = _phase_one(pr, tol, max_iter)
-        return run[3] == 0
+        return _phase_one(pr, tol, max_iter)[-1] == 0
 
     def passes(lam):
         ok = all(certified(u, lam) for u in unitaries)

@@ -2,9 +2,10 @@
 
 Exact outcome distributions come from composing the four maps directly
 (first unsharp measurement with state update, unitary, second unsharp
-measurement). The Monte Carlo layer draws trajectories from that same
-table; the fluctuation check compares all of this against the
-joint-observable algebra, which is an independent code path.
+measurement). The Monte Carlo layer draws trajectories from a table the
+caller built once with gtpm_distribution; the fluctuation check runs that
+sequential composition itself and compares it against the joint-observable
+algebra, which is an independent code path.
 """
 
 from __future__ import annotations
@@ -109,21 +110,32 @@ def gtpm_distribution(rho, inst: LuedersInstrument, u, b_povm: Povm) -> np.ndarr
     return p
 
 
-def sample_gtpm(rho, inst: LuedersInstrument, u, b_povm: Povm, n: int, seed) -> np.ndarray:
+def sample_gtpm(p, n: int, seed) -> np.ndarray:
     """Outcome counts from n sequentially simulated trajectories.
 
-    Each trajectory draws the first outcome a with probability
-    sum_b p(a,b) and then the second outcome b with probability
-    p(a,b) / sum_b p(a,b), where p is the exact table of gtpm_distribution
-    (its rounding-level negative entries clipped to zero). The n
-    trajectories are drawn together in two multinomial stages:
-    first-outcome counts, then each row's second outcomes. That has exactly
-    the law of n sequential draws, costs O(m*n_b) whatever n is, and is
-    deterministic per seed. A row of probability zero is never drawn.
+    p is a two-point table p(a,b), as gtpm_distribution returns it. Each
+    trajectory draws the first outcome a with probability sum_b p(a,b) and
+    then the second outcome b with probability p(a,b) / sum_b p(a,b), with
+    rounding-level negative entries clipped to zero. The n trajectories are
+    drawn together in two multinomial stages: first-outcome counts, then
+    each row's second outcomes. That has exactly the law of n sequential
+    draws, costs O(m*n_b) whatever n is, and is deterministic per seed. A
+    row of probability zero is never drawn. Raises ValueError unless p is a
+    finite 2-D table with entries >= -1e-12 that sums to 1 within
+    DISTRIBUTION_TOL, and n >= 1.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    p = np.clip(gtpm_distribution(rho, inst, u, b_povm), 0.0, None)
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError(f"need a 2-D table, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("table entries must be finite")
+    if abs(p.sum() - 1.0) > DISTRIBUTION_TOL or p.min() < -1e-12:
+        raise ValueError(
+            f"table is not a distribution (min {p.min():.3e}, sum {p.sum():.12f})"
+        )
+    p = np.clip(p, 0.0, None)
     p_first = p.sum(axis=1)
     cond = np.divide(p, p_first[:, None], out=np.zeros_like(p), where=p_first[:, None] > 0.0)
     p_first /= p_first.sum()
@@ -131,14 +143,16 @@ def sample_gtpm(rho, inst: LuedersInstrument, u, b_povm: Povm, n: int, seed) -> 
     return rng.multinomial(rng.multinomial(n, p_first), cond)
 
 
-def fluctuation_residual(w_obs, inst: LuedersInstrument, u, b_povm: Povm, rho_diag: DiagonalState) -> float:
+def fluctuation_residual(w_obs, rho_diag: DiagonalState) -> float:
     """Largest gap between joint-observable statistics and the sequential
     two-step statistics on a state diagonal in the first energy basis.
 
-    The two pipelines share no intermediate quantities: one contracts the
-    W grid with the state, the other runs measure-evolve-measure.
+    w_obs is a JointWorkObservable; its instrument, unitary and lab-frame
+    second POVM (w_obs.b_lab) drive the sequential side. The two pipelines
+    share no intermediate quantities: one contracts the W grid with the
+    state, the other runs measure-evolve-measure.
     """
-    effects = w_obs.effects if hasattr(w_obs, "effects") else np.asarray(w_obs, dtype=np.complex128)
+    inst = w_obs.instrument
     if inst.hamiltonian is None:
         raise ValueError("instrument must carry its Hamiltonian to certify the basis")
     if rho_diag.basis.dim != inst.hamiltonian.dim or not np.allclose(
@@ -148,8 +162,8 @@ def fluctuation_residual(w_obs, inst: LuedersInstrument, u, b_povm: Povm, rho_di
             "diagonal state basis differs from the measured energy eigenbasis"
         )
     rho = rho_diag.rho
-    p_joint = np.einsum("abij,ji->ab", effects, rho).real
-    p_seq = gtpm_distribution(rho, inst, u, b_povm)
+    p_joint = np.einsum("abij,ji->ab", w_obs.effects, rho).real
+    p_seq = gtpm_distribution(rho, inst, w_obs.unitary, w_obs.b_lab)
     if p_joint.shape != p_seq.shape:
         raise ValueError(f"grid shape {p_joint.shape} vs sequential {p_seq.shape}")
     return float(np.max(np.abs(p_joint - p_seq)))

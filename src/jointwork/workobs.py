@@ -71,20 +71,21 @@ def corrected_assignment(h: SpectralHamiltonian, visibility: float) -> EnergyAss
         raise ZeroVisibilityError("corrected assignment needs visibility > 0")
     e = h.energies
     ebar = float(np.mean(e))
-    vals = e / visibility - (1.0 - visibility) / visibility * ebar
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow to inf or nan fails EnergyAssignment's finiteness check
+        vals = e / visibility - (1.0 - visibility) / visibility * ebar
     return EnergyAssignment(values=vals, kind=AssignmentKind.CORRECTED_MEAN)
 
 
-def jarzynski_assignment(
-    h: SpectralHamiltonian, beta: float, visibility: float, alpha=None
-) -> EnergyAssignment:
+def jarzynski_assignment(h: SpectralHamiltonian, beta: float, visibility: float) -> EnergyAssignment:
     """Log-domain values that make exp(-beta f) telescope against the Gibbs
-    weights, f(a) = (1/beta) ln[(alpha Z/lam)(e^{beta E_a} - (1-lam)/d * S)].
+    weights, f(a) = (1/beta) ln[(1/lam)(e^{beta E_a} - (1-lam)/d * S)] with
+    S = sum_a e^{beta E_a}.
 
-    alpha defaults to 1/Z so that at visibility 1 the values collapse to the
-    eigenvalues. The defining identity
-    sum_a e^{beta f(a)} A_a^(1/2) rho_Gibbs A_a^(1/2) = alpha * 1
-    is verified on construction to 1e-10.
+    The constant of the defining identity
+    sum_a e^{beta f(a)} A_a^(1/2) rho_Gibbs A_a^(1/2) = (1/Z) * 1
+    is fixed at 1/Z, so that at visibility 1 the values collapse to the
+    eigenvalues. The identity is verified on construction to 1e-10.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -93,9 +94,6 @@ def jarzynski_assignment(
     e = h.energies
     d = h.dim
     log_z = float(logsumexp(-beta * e))
-    log_alpha_z = 0.0 if alpha is None else float(np.log(alpha) + log_z)
-    if alpha is not None and alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     # shifted exponentials keep everything finite for large beta*E
     shift = float(np.max(beta * e))
     expo = np.exp(beta * e - shift)
@@ -111,20 +109,20 @@ def jarzynski_assignment(
             outcome=offender,
             min_visibility=lam_min,
         )
-    vals = (log_alpha_z - np.log(visibility) + shift + np.log(args)) / beta
+    vals = (shift - np.log(visibility) + np.log(args)) / beta
     assignment = EnergyAssignment(values=vals, kind=AssignmentKind.JARZYNSKI)
 
     # verify the defining identity through the actual instrument maps
     if beta * float(np.max(np.abs(vals))) < 700.0:
-        alpha_val = float(np.exp(log_alpha_z - log_z))
+        inv_z = float(np.exp(-log_z))
         gibbs_p = np.exp(-beta * e - log_z)
         rho = (h.basis * gibbs_p) @ h.basis.conj().T
         inst = luders_instrument(noisy_effects(h, visibility))
         acc = np.zeros((d, d), dtype=np.complex128)
         for a in range(d):
             acc += np.exp(beta * vals[a]) * luders_apply(inst, a, rho)
-        resid = float(np.max(np.abs(acc - alpha_val * np.eye(d))))
-        if resid > 1e-10 * max(1.0, alpha_val):
+        resid = float(np.max(np.abs(acc - inv_z * np.eye(d))))
+        if resid > 1e-10 * max(1.0, inv_z):
             raise ArithmeticError(
                 f"assignment identity residual {resid:.3e} exceeds tolerance"
             )

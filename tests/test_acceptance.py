@@ -186,7 +186,6 @@ def test_criterion_07_fluctuation_condition(acceptance_log):
         lam = 0.7
         gam = 0.9 * gamma_bound(d, lam)
         h = hamiltonian_from_energies(np.arange(d, dtype=float))
-        b_lab = noisy_effects(h, gam).povm
         for _ in range(50):
             u = haar_random_unitary(d, int(rng.integers(2**63)))
             w = build_joint_observable(h, h, u, VisibilityPair(lam, gam))
@@ -194,7 +193,7 @@ def test_criterion_07_fluctuation_condition(acceptance_log):
                 probs = rng.random(d)
                 probs /= probs.sum()
                 state = DiagonalState(probabilities=probs, basis=h)
-                worst = max(worst, fluctuation_residual(w, w.instrument, u, b_lab, state))
+                worst = max(worst, fluctuation_residual(w, state))
     _record(
         acceptance_log, 7, worst <= 1e-11,
         f"sequential statistics match the grid on 4000 diagonal states: worst {worst:.2e}",
@@ -258,9 +257,10 @@ def test_criterion_09_jarzynski_identity_sampled(acceptance_log):
     b_lab = noisy_effects(h_b, gam).povm
     x = np.exp(-beta * w.work_values(jarzynski_assignment(h_a, beta, lam), naive_assignment(h_b)))
     want = np.exp(-beta * free_energy_difference(h_a, h_b, beta))
+    p = gtpm_distribution(rho, w.instrument, u, b_lab)
     hits = 0
     for seed in range(20):
-        freq = sample_gtpm(rho, w.instrument, u, b_lab, n, seed) / n
+        freq = sample_gtpm(p, n, seed) / n
         est = float(np.sum(freq * x))
         se = np.sqrt(max(float(np.sum(freq * x * x)) - est * est, 1e-30) / n)
         hits += abs(est - want) <= 4.0 * se

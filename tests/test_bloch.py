@@ -14,7 +14,6 @@ from jointwork.bloch import (
     lambda_mub,
     lambda_opt,
     product_state_minimum,
-    reference_visibilities,
     symmetric_critical_visibility,
     to_bloch,
 )
@@ -139,14 +138,6 @@ def test_lambda_mub_variants():
     assert abs(lambda_mub(3, printed=True) - 0.1830127018922193) < 1e-15
     for d in (2, 3, 4):
         assert abs(lambda_mub(d) - lambda_mub(d, printed=True) - 0.5) < 1e-15
-
-
-def test_reference_visibilities():
-    lo, lm = reference_visibilities(3)
-    assert lo == lambda_opt(3)
-    assert lm == lambda_mub(3)
-    _, lp = reference_visibilities(3, printed_mub=True)
-    assert lp == lambda_mub(3, printed=True)
 
 
 def test_visibility_pair_validation():

@@ -101,6 +101,17 @@ def test_run_jarzynski_domain_exits_3(tmp_path, capsys):
     spec = _write_spec(tmp_path, visibility={"lambda": 0.3, "gamma": 0.3})
     assert main(["run", spec]) == 3
     assert "visibility" in capsys.readouterr().err
+    # a corrected assignment that overflows is undefined in the same way
+    wide = {"energies": [0.0, 1e10]}
+    for which, overrides in (
+        ("f", {"hamiltonian_a": wide, "visibility": {"lambda": 1e-299, "gamma": 0.5}}),
+        ("g", {"hamiltonian_b": wide, "visibility": {"lambda": 0.5, "gamma": 1e-300}}),
+    ):
+        spec = _write_spec(tmp_path, assignments={"f": "corrected", "g": "corrected"}, **overrides)
+        assert main(["run", spec]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: requested {which} assignment undefined")
+        assert "Traceback" not in err
 
 
 def test_run_domain_skip_reported_for_other_assignments(tmp_path, capsys):
@@ -176,6 +187,27 @@ def test_sample_deterministic(tmp_path, capsys):
     records = [json.loads(line) for line in a.read_text().splitlines()]
     cells = [r for r in records if r["record"] == "cell"]
     assert sum(c["count"] for c in cells) == 20000
+
+
+def test_two_point_table_built_once_per_experiment(tmp_path, capsys, monkeypatch):
+    # sample draws from the table it reports; run builds it a second time
+    # only inside the fluctuation check, whose sequential side is its own
+    calls = []
+    build = jointwork.gtpm.gtpm_distribution
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(jointwork.gtpm, "gtpm_distribution", counted)
+    monkeypatch.setattr(jointwork.cli, "gtpm_distribution", counted)
+    spec = _write_spec(tmp_path)
+    assert main(["sample", spec]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["run", spec]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
 
 
 def test_sample_rejects_out_of_range_samples_flag(tmp_path, capsys):

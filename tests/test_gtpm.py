@@ -84,11 +84,10 @@ def test_sequential_stats_match_joint_observable_for_diagonal_states(rng):
         h = hamiltonian_from_energies(np.arange(d, dtype=float))
         u = haar_random_unitary(d, int(rng.integers(2**63)))
         w = build_joint_observable(h, h, u, VisibilityPair(lam, gam))
-        b_lab = noisy_effects(h, gam).povm
         probs = rng.random(d)
         probs /= probs.sum()
         state = DiagonalState(probabilities=probs, basis=h)
-        res = fluctuation_residual(w, w.instrument, u, b_lab, state)
+        res = fluctuation_residual(w, state)
         assert res < 1e-11
 
 
@@ -110,23 +109,23 @@ def test_fluctuation_residual_basis_mismatch(qubit):
     gam = 0.5
     u = haar_random_unitary(2, 2)
     w = build_joint_observable(qubit, qubit, u, VisibilityPair(lam, gam))
-    b_lab = noisy_effects(qubit, gam).povm
     other = hamiltonian_from_energies([0.0, 1.0], haar_random_unitary(2, 9))
     state = DiagonalState(probabilities=np.array([0.5, 0.5]), basis=other)
     with pytest.raises(BasisMismatchError):
-        fluctuation_residual(w, w.instrument, u, b_lab, state)
+        fluctuation_residual(w, state)
 
 
 def test_sample_gtpm_deterministic_and_normalized(qubit):
     lam, gam = 0.8, 0.4
     h, u, inst, b_lab = _setup(2, lam, gam, 31)
     rho = gibbs_state(h, 1.0).rho
-    c1 = sample_gtpm(rho, inst, u, b_lab, 50000, 12345)
-    c2 = sample_gtpm(rho, inst, u, b_lab, 50000, 12345)
+    p = gtpm_distribution(rho, inst, u, b_lab)
+    c1 = sample_gtpm(p, 50000, 12345)
+    c2 = sample_gtpm(p, 50000, 12345)
     assert np.array_equal(c1, c2)
     assert c1.sum() == 50000
     assert c1.dtype.kind in "iu"
-    c3 = sample_gtpm(rho, inst, u, b_lab, 50000, 54321)
+    c3 = sample_gtpm(p, 50000, 54321)
     assert not np.array_equal(c1, c3)
 
 
@@ -136,14 +135,16 @@ def test_sample_gtpm_seed_stream_pinned():
     h_b = hamiltonian_from_energies([0.0, 2.0])
     inst = luders_instrument(noisy_effects(h_a, 0.6))
     b_lab = noisy_effects(h_b, 0.6).povm
-    counts = sample_gtpm(gibbs_state(h_a, 1.0).rho, inst, np.eye(2), b_lab, 50000, 11)
+    p = gtpm_distribution(gibbs_state(h_a, 1.0).rho, inst, np.eye(2), b_lab)
+    counts = sample_gtpm(p, 50000, 11)
     assert counts.tolist() == [[23860, 8148], [7861, 10131]]
 
     h = hamiltonian_from_energies([0.0, 0.7, 1.9])
     inst = luders_instrument(noisy_effects(h, 0.7))
     b_lab = noisy_effects(h, 0.5).povm
     u = haar_random_unitary(3, 4)
-    counts = sample_gtpm(gibbs_state(h, 0.8).rho, inst, u, b_lab, 123457, 5)
+    p = gtpm_distribution(gibbs_state(h, 0.8).rho, inst, u, b_lab)
+    counts = sample_gtpm(p, 123457, 5)
     assert counts.tolist() == [[13410, 13659, 33710], [12764, 17281, 9865], [8251, 7084, 7433]]
 
 
@@ -153,11 +154,12 @@ def test_sample_gtpm_chi_square_calibration():
     d, lam, gam, n = 2, 0.75, 0.45, 20000
     h, u, inst, b_lab = _setup(d, lam, gam, 7)
     rho = gibbs_state(h, 1.0).rho
-    p = gtpm_distribution(rho, inst, u, b_lab).ravel()
+    table = gtpm_distribution(rho, inst, u, b_lab)
+    p = table.ravel()
     cutoff = stats.chi2.ppf(0.999, d * d - 1)
     passed = 0
     for seed in range(100):
-        counts = sample_gtpm(rho, inst, u, b_lab, n, seed).ravel()
+        counts = sample_gtpm(table, n, seed).ravel()
         stat = np.sum((counts - n * p) ** 2 / (n * p))
         passed += stat <= cutoff
     assert passed >= 99
@@ -169,7 +171,7 @@ def test_sample_gtpm_frequencies_converge(qubit):
     rho = gibbs_state(h, 0.5).rho
     p = gtpm_distribution(rho, inst, u, b_lab)
     n = 400000
-    freq = sample_gtpm(rho, inst, u, b_lab, n, 8) / n
+    freq = sample_gtpm(p, n, 8) / n
     assert np.max(np.abs(freq - p)) < 5.0 / np.sqrt(n)
 
 
@@ -183,13 +185,26 @@ def test_sample_gtpm_zero_probability_cells_get_no_counts():
     p = gtpm_distribution(rho, inst, np.eye(3), sharp)
     assert (p == 0.0).sum() == 6  # every cell off the column b = 1
     n = 100000
-    counts = sample_gtpm(rho, inst, np.eye(3), sharp, n, 3)
+    counts = sample_gtpm(p, n, 3)
     assert counts.sum() == n
     assert np.all(counts[p == 0.0] == 0)
     assert np.all(counts[:, 1] > 0)
     # a sharp first measurement never finds the empty levels: two whole
     # rows of the table are zero and are never drawn
     sharp_first = luders_instrument(noisy_effects(h, 1.0))
-    counts = sample_gtpm(rho, sharp_first, np.eye(3), noisy_effects(h, 0.5).povm, n, 3)
+    p = gtpm_distribution(rho, sharp_first, np.eye(3), noisy_effects(h, 0.5).povm)
+    counts = sample_gtpm(p, n, 3)
     assert counts.sum() == n
     assert not counts[[0, 2]].any()
+
+
+def test_sample_gtpm_rejects_a_table_that_is_not_a_distribution():
+    good = np.array([[0.5, 0.2], [0.3, 0.0]])
+    assert sample_gtpm(good, 10, 0).sum() == 10
+    nan = good.copy()
+    nan[0, 1] = np.nan
+    negative = good + np.array([[2e-12, 0.0], [0.0, -2e-12]])
+    off_sum = good * (1.0 + 1e-9)
+    for bad in (good.ravel(), nan, negative, off_sum):
+        with pytest.raises(ValueError):
+            sample_gtpm(bad, 10, 0)
