@@ -1,8 +1,10 @@
 """Hot numeric kernel: the Dykstra projection loop, in batched numpy.
 
-Status codes: 0 converged (gap <= tol), 1 stalled (no relative
-improvement over `stall_window` iterations with gap > stall_scale*tol),
-2 iteration budget exhausted.
+The loop alternates between the product of PSD cones (eigenvalue clipping
+per block) and the affine set of grids with the given row sums, column sums
+and per-block diagonals. Status codes: 0 converged (gap <= tol), 1 stalled
+(no relative improvement over `stall_window` iterations with gap >
+stall_scale*tol), 2 iteration budget exhausted.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ ACTIVE_BACKEND = "numpy"
 HAVE_NUMBA = False
 
 
-def dykstra(a_eff, b_eff, diag_target, use_stats, x0, tol, max_iter,
-            stall_window, stall_scale):
+def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
+            stall_scale):
     """Alternating projections with Dykstra corrections, batched numpy.
 
     a_eff (m,d,d) and b_eff (n,d,d) are the required row/column sums of the
-    grid; diag_target (m,n,d) pins per-block diagonals when use_stats is on.
-    Needs max_iter >= 1. Returns (grid, gap, iterations, code), with gap the
-    distance between the last PSD iterate and the last affine one.
+    grid; diag_target (m,n,d) pins the per-block diagonals, so the returned
+    grid's diagonals equal it exactly. Needs max_iter >= 1. Returns (grid,
+    gap, iterations, code), with gap the distance between the last PSD
+    iterate and the last affine one.
     """
     m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
     x = x0.copy()
@@ -43,8 +46,7 @@ def dykstra(a_eff, b_eff, diag_target, use_stats, x0, tol, max_iter,
         col = g2.sum(axis=0) - b_eff
         tot = row.sum(axis=0)
         z = g2 - row[:, None] / n - col[None, :] / m + tot / (m * n)
-        if use_stats:
-            z[:, :, didx, didx] = diag_target
+        z[:, :, didx, didx] = diag_target
         q = g2 - z
         gap = float(np.linalg.norm(y - z))
         if gap <= tol:

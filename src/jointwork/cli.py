@@ -111,8 +111,17 @@ def _emit(records, args) -> None:
                 if key == "record":
                     continue
                 lines.append(f"{name},{key},{_fmt(rec[key], args.precision)}")
-    with open(args.output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_output(args.output, lines)
+
+
+def _write_output(path: str, lines) -> None:
+    """Write report lines to the --output file; a target that cannot be
+    written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CliInputError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
 def _print_section(title: str, pairs, precision: int) -> None:
@@ -263,15 +272,18 @@ def _resolve_seed(args, spec_seed=None) -> int:
     return secrets.randbits(63)
 
 
-def _make_assignment(label: str, kind: str, h, visibility: float, beta: float) -> EnergyAssignment:
-    """The requested assignment for measurement `label` (f or g). Raises
-    CliPhysicsError when its values are undefined or overflow."""
+def _make_assignment(
+    label: str, kind: str, h, visibility: float, beta: float, inst
+) -> EnergyAssignment:
+    """The requested assignment for measurement `label` (f or g); `inst` is
+    that measurement's instrument, which the log-domain kind is built from.
+    Raises CliPhysicsError when its values are undefined or overflow."""
     try:
         if kind == "naive":
             return naive_assignment(h)
         if kind == "corrected":
             return corrected_assignment(h, visibility)
-        return jarzynski_assignment(h, beta, visibility)
+        return jarzynski_assignment(inst, beta)
     except (AssignmentDomainError, ValueError) as exc:
         raise CliPhysicsError(f"requested {label} assignment undefined: {exc}") from exc
 
@@ -296,11 +308,12 @@ def _two_point_chain(h_a, h_b, u, pair: VisibilityPair, beta: float):
     return w, gibbs, gtpm_distribution(gibbs.rho, w.instrument, u, w.b_lab)
 
 
-def _jarzynski_terms(w, h_a, h_b, beta: float, lam: float):
+def _jarzynski_terms(w, h_a, h_b, beta: float):
     """exp(-beta w(a,b)) over the grid for the log-domain first assignment
     and the bare second one, the reference exp(-beta dF), and dF. Raises
-    AssignmentDomainError when lam is too small for the log-domain values."""
-    f_jar = jarzynski_assignment(h_a, beta, lam)
+    AssignmentDomainError when the first visibility is too small for the
+    log-domain values."""
+    f_jar = jarzynski_assignment(w.instrument, beta)
     weights = np.exp(-beta * w.work_values(f_jar, naive_assignment(h_b)))
     delta_f = free_energy_difference(h_a, h_b, beta)
     return weights, float(np.exp(-beta * delta_f)), delta_f
@@ -344,8 +357,7 @@ def cmd_bounds(args) -> int:
         )
     print("\n".join(lines))
     if args.output and args.format == "csv":
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_output(args.output, lines)
     else:
         _emit(records, args)
     return EXIT_OK
@@ -370,8 +382,9 @@ def cmd_run(args) -> int:
     counts = sample_gtpm(p_exact, n, seed)
     freq = counts / counts.sum()
 
-    f_assign = _make_assignment("f", spec["f_kind"], h_a, pair.lam, beta)
-    g_assign = _make_assignment("g", spec["g_kind"], h_b, pair.gamma, beta)
+    f_assign = _make_assignment("f", spec["f_kind"], h_a, pair.lam, beta, w.instrument)
+    # the log-domain kind is rejected for g when the file is read
+    g_assign = _make_assignment("g", spec["g_kind"], h_b, pair.gamma, beta, None)
     wvals = w.work_values(f_assign, g_assign)
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
@@ -407,7 +420,7 @@ def cmd_run(args) -> int:
 
     jar_rec = {"record": "jarzynski"}
     try:
-        weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta, pair.lam)
+        weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta)
         jar_exact = float(np.sum(p_exact * weights))
         jar_sampled = float(np.sum(freq * weights))
         jar_rec.update(
@@ -524,7 +537,7 @@ def _verify_case(d: int, case_seed: int):
     )
 
     try:
-        weights, reference, _ = _jarzynski_terms(w, h_a, h_b, beta, lam)
+        weights, reference, _ = _jarzynski_terms(w, h_a, h_b, beta)
         out["jarzynski"] = abs(float(np.sum(p_gibbs * weights)) - reference)
     except AssignmentDomainError:
         out["jarzynski"] = None

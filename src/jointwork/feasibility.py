@@ -1,14 +1,16 @@
 """Feasibility search for joint measurements with prescribed marginals.
 
 The convex program: find a grid K_ab of PSD blocks with row sums A_a,
-column sums B^U_b, minimizing the mismatch of the diagonal statistics
-Tr[K_ab P_k] against the square-root construction targets. Solved by
-alternating projections with Dykstra corrections between the affine
-constraint set (closed form, entrywise) and the product of PSD cones
-(eigenvalue clipping). Two phases: first with the diagonal statistics
-folded into the affine set (zero objective), then, if that stalls, with
-marginals only. A stall in both phases is the infeasibility certificate;
-the result carries the final gap and the total iteration count.
+column sums B^U_b and diagonal statistics Tr[K_ab P_k] pinned to those of
+the square-root construction. Solved by alternating projections with
+Dykstra corrections between the affine constraint set (closed form,
+entrywise, diagonals pinned) and the product of PSD cones (eigenvalue
+clipping). A converged gap whose grid passes the exact marginal check is
+FEASIBLE_ZERO_OBJECTIVE. INFEASIBLE means that no grid with these
+marginals and these diagonal statistics was found: the projections
+stalled, or converged on a grid whose marginals fail the check. It is a
+stall verdict, not a checked certificate. The result carries the final gap
+and the iteration count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ STALL_SCALE = 10.0
 
 class FeasibilityStatus(enum.Enum):
     FEASIBLE_ZERO_OBJECTIVE = "FeasibleZeroObjective"
-    FEASIBLE_POSITIVE_OBJECTIVE = "FeasiblePositiveObjective"
     INFEASIBLE = "Infeasible"
     MAX_ITERATIONS = "MaxIterations"
 
@@ -95,7 +96,6 @@ def joint_feasibility_problem(
 class FeasibilityResult:
     status: FeasibilityStatus
     grid: np.ndarray  # (m, n, d, d), lab frame
-    objective: float
     marginal_residual: float
     min_eigenvalue: float
     iterations: int
@@ -124,15 +124,17 @@ def _marginal_residual(problem: FeasibilityProblem, grid) -> float:
     )
 
 
-def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int):
-    """Phase one: project with the diagonal statistics pinned, in the probe
-    frame (eigenbasis of the first Hamiltonian), starting from the target
-    grid.
+def solve_joint_feasibility(
+    problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
+) -> FeasibilityResult:
+    """Project with the diagonal statistics pinned, in the probe frame
+    (eigenbasis of the first Hamiltonian); never raises on non-convergence,
+    the status field carries the verdict.
 
-    Returns (a_effects, b_effects, diagonal targets, grid, gap, iterations,
-    code): the frame data phase two reuses, then the kernel's run. Code 0
-    means the gap converged and the grid's marginals checked out, which
-    alone decides FEASIBLE_ZERO_OBJECTIVE.
+    The iteration starts at the target grid itself, which already satisfies
+    the A-marginal and the diagonal statistics, leaving only the B-marginal
+    and positivity to reconcile. Raises ValueError unless tol > 0 and
+    max_iter >= 1.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -144,60 +146,28 @@ def _phase_one(problem: FeasibilityProblem, tol: float, max_iter: int):
     te = _to_frame(problem.targets, v)
     tdiag = np.ascontiguousarray(np.diagonal(te, axis1=2, axis2=3).real)
     k_e, gap, iters, code = _kernels.dykstra(
-        ae, be, tdiag, True, te, tol, max_iter, STALL_WINDOW, STALL_SCALE
+        ae, be, tdiag, te, tol, max_iter, STALL_WINDOW, STALL_SCALE
     )
-    if code == 0:
+    grid = _from_frame(k_e, v)
+    residual = _marginal_residual(problem, grid)
+    if code == 2:
+        status = FeasibilityStatus.MAX_ITERATIONS
+    elif code == 0 and residual <= STALL_SCALE * tol:
+        status = FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+    else:
         # pinning the diagonal and matching the marginals are applied as one
         # composed step, which is a genuine projection only when the pinned
         # statistics are consistent with the marginals; a converged gap with
-        # broken marginals means that consistency failed, so the pin has to
-        # be dropped rather than trusted
-        m0 = _marginal_residual(problem, _from_frame(k_e, v))
-        code = 0 if m0 <= STALL_SCALE * tol else 1
-    return ae, be, tdiag, k_e, gap, iters, code
-
-
-def solve_joint_feasibility(
-    problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
-) -> FeasibilityResult:
-    """Run the two-phase projection scheme; never raises on non-convergence,
-    the status field carries the verdict.
-
-    The iteration starts at the target grid itself, which already satisfies
-    the A-marginal and the diagonal statistics, leaving only the B-marginal
-    and positivity to reconcile. Raises ValueError unless tol > 0 and
-    max_iter >= 1.
-    """
-    ae, be, tdiag, k_e, gap, iters, code = _phase_one(problem, tol, max_iter)
-    total = iters
-    if code == 0:
-        status = FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
-    elif code == 2:
-        status = FeasibilityStatus.MAX_ITERATIONS
-    else:
-        k_e, gap, iters2, code2 = _kernels.dykstra(
-            ae, be, tdiag, False, k_e, tol, max_iter, STALL_WINDOW, STALL_SCALE
-        )
-        total += iters2
-        if code2 == 0:
-            status = FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE
-        elif code2 == 1:
-            status = FeasibilityStatus.INFEASIBLE
-        else:
-            status = FeasibilityStatus.MAX_ITERATIONS
-    objective = float(
-        np.sum(np.abs(np.diagonal(k_e, axis1=2, axis2=3).real - tdiag))
-    )
-    grid = _from_frame(k_e, problem.probe_basis)
+        # broken marginals means that consistency failed
+        status = FeasibilityStatus.INFEASIBLE
     sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))
     return FeasibilityResult(
         status=status,
         grid=grid,
-        objective=objective,
-        marginal_residual=_marginal_residual(problem, grid),
+        marginal_residual=residual,
         min_eigenvalue=min_eig,
-        iterations=total,
+        iterations=iters,
         gap=float(gap),
     )
 
@@ -213,13 +183,13 @@ def estimate_critical_visibility(
 ) -> float:
     """Empirical critical symmetric visibility by bisection over lam = gamma.
 
-    A visibility passes when the solver certifies a zero-objective feasible
-    grid for every sampled unitary; the returned value is the largest
-    passing visibility at the requested resolution. A probe that exhausts
-    its iteration budget counts as failing (certification, not proof).
-    Only phase one runs, since phase two never yields a zero objective, and
-    a probe stops at its first failing unitary. Appends (visibility, passed)
-    pairs to `history` when given.
+    A visibility passes when the solver finds a grid with both marginals and
+    the pinned diagonal statistics (FEASIBLE_ZERO_OBJECTIVE) for every
+    sampled unitary; the returned value is the largest passing visibility at
+    the requested resolution. A probe that exhausts its iteration budget
+    counts as failing (certification, not proof), and a probe stops at its
+    first failing unitary. Appends (visibility, passed) pairs to `history`
+    when given.
     """
     if n_unitaries < 1:
         raise ValueError(f"need at least one unitary, got {n_unitaries}")
@@ -234,7 +204,8 @@ def estimate_critical_visibility(
 
     def certified(u, lam):
         pr = joint_feasibility_problem(h, h, u, lam, lam)
-        return _phase_one(pr, tol, max_iter)[-1] == 0
+        status = solve_joint_feasibility(pr, tol, max_iter).status
+        return status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
 
     def passes(lam):
         ok = all(certified(u, lam) for u in unitaries)

@@ -21,6 +21,7 @@ from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
 from .operators import SpectralHamiltonian, logsumexp, require_hermitian, require_unitary
 from .povm import (
+    LuedersInstrument,
     Povm,
     check_marginals,
     heisenberg_povm,
@@ -77,18 +78,23 @@ def corrected_assignment(h: SpectralHamiltonian, visibility: float) -> EnergyAss
     return EnergyAssignment(values=vals, kind=AssignmentKind.CORRECTED_MEAN)
 
 
-def jarzynski_assignment(h: SpectralHamiltonian, beta: float, visibility: float) -> EnergyAssignment:
+def jarzynski_assignment(inst: LuedersInstrument, beta: float) -> EnergyAssignment:
     """Log-domain values that make exp(-beta f) telescope against the Gibbs
     weights, f(a) = (1/beta) ln[(1/lam)(e^{beta E_a} - (1-lam)/d * S)] with
-    S = sum_a e^{beta E_a}.
+    S = sum_a e^{beta E_a}. The energies E_a and the visibility lam are
+    read from `inst`, the instrument of the noisy energy measurement.
 
     The constant of the defining identity
     sum_a e^{beta f(a)} A_a^(1/2) rho_Gibbs A_a^(1/2) = (1/Z) * 1
     is fixed at 1/Z, so that at visibility 1 the values collapse to the
-    eigenvalues. The identity is verified on construction to 1e-10.
+    eigenvalues. The identity is verified on construction to 1e-10, through
+    `inst` itself. Raises ValueError when `inst` carries no Hamiltonian.
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    if inst.hamiltonian is None or inst.visibility is None:
+        raise ValueError("log-domain assignment needs a noisy-energy instrument")
+    h, visibility = inst.hamiltonian, inst.visibility
     if visibility <= 0.0:
         raise ZeroVisibilityError("log-domain assignment needs visibility > 0")
     e = h.energies
@@ -117,7 +123,6 @@ def jarzynski_assignment(h: SpectralHamiltonian, beta: float, visibility: float)
         inv_z = float(np.exp(-log_z))
         gibbs_p = np.exp(-beta * e - log_z)
         rho = (h.basis * gibbs_p) @ h.basis.conj().T
-        inst = luders_instrument(noisy_effects(h, visibility))
         acc = np.zeros((d, d), dtype=np.complex128)
         for a in range(d):
             acc += np.exp(beta * vals[a]) * luders_apply(inst, a, rho)
@@ -210,13 +215,11 @@ def build_joint_observable(
 class WorkDistribution:
     """Flattened outcome-pair distribution with attached work values."""
 
-    a_index: np.ndarray
-    b_index: np.ndarray
     work: np.ndarray
     probability: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.a_index, self.b_index, self.work, self.probability):
+        for arr in (self.work, self.probability):
             arr.setflags(write=False)
 
 
@@ -235,14 +238,7 @@ def work_distribution(
             "the observable is likely above the positivity bound for this state"
         )
     work = w_obs.work_values(f, g)
-    m, n = p.shape
-    a_idx, b_idx = np.divmod(np.arange(m * n), n)
-    return WorkDistribution(
-        a_index=a_idx,
-        b_index=b_idx,
-        work=work.ravel().copy(),
-        probability=p.ravel(),
-    )
+    return WorkDistribution(work=work.ravel().copy(), probability=p.ravel())
 
 
 def jarzynski_sum(dist: WorkDistribution, beta: float) -> float:

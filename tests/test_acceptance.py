@@ -36,7 +36,7 @@ from jointwork.gtpm import (
     sample_gtpm,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import noisy_effects
+from jointwork.povm import luders_instrument, noisy_effects
 from jointwork.workobs import (
     EnergyAssignment,
     build_joint_observable,
@@ -219,7 +219,7 @@ def test_criterion_08_jarzynski_identity_exact(acceptance_log):
     for d in (2, 3):
         for beta in (0.5, 1.0, 2.0):
             h_a, h_b, lam, gam = _jarzynski_setup(d, beta)
-            f = jarzynski_assignment(h_a, beta, lam)
+            f = jarzynski_assignment(luders_instrument(noisy_effects(h_a, lam)), beta)
             g = naive_assignment(h_b)
             rho = gibbs_state(h_a, beta).rho
             b_lab = noisy_effects(h_b, gam).povm
@@ -236,7 +236,7 @@ def test_criterion_08_jarzynski_identity_exact(acceptance_log):
     p = gtpm_distribution(
         gibbs_state(h, 1.0).rho, w.instrument, np.eye(2), noisy_effects(h, 0.5).povm
     )
-    wv = w.work_values(jarzynski_assignment(h, 1.0, 0.8), naive_assignment(h))
+    wv = w.work_values(jarzynski_assignment(w.instrument, 1.0), naive_assignment(h))
     triv = abs(float(np.sum(p * np.exp(-wv))) - 1.0)
     _record(
         acceptance_log, 8, worst < 1e-10 and triv < 1e-12,
@@ -255,7 +255,7 @@ def test_criterion_09_jarzynski_identity_sampled(acceptance_log):
     w = build_joint_observable(h_a, h_b, u, VisibilityPair(lam, gam))
     rho = gibbs_state(h_a, beta).rho
     b_lab = noisy_effects(h_b, gam).povm
-    x = np.exp(-beta * w.work_values(jarzynski_assignment(h_a, beta, lam), naive_assignment(h_b)))
+    x = np.exp(-beta * w.work_values(jarzynski_assignment(w.instrument, beta), naive_assignment(h_b)))
     want = np.exp(-beta * free_energy_difference(h_a, h_b, beta))
     p = gtpm_distribution(rho, w.instrument, u, b_lab)
     hits = 0

@@ -58,6 +58,21 @@ def test_bounds_csv_file_round_trip(tmp_path, capsys):
     assert out.read_text().strip() == capsys.readouterr().out.strip()
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["bounds", "2", "3"], "missing/x.jsonl"),
+        (["bounds", "2", "3", "--format", "csv"], "missing/x.csv"),
+        (["verify", "--dims", "2", "--cases", "2", "--seed", "1"], "missing/x"),
+        (["bounds", "2", "3", "--format", "csv"], "."),
+    ],
+)
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv, target):
+    assert main([*argv, "--output", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+
+
 def test_run_report_and_records(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     out = tmp_path / "run.jsonl"

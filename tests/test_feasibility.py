@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from jointwork import _kernels
 from jointwork.bloch import symmetric_critical_visibility
 from jointwork.feasibility import (
+    STALL_SCALE,
+    STALL_WINDOW,
     FeasibilityProblem,
     FeasibilityStatus,
-    _phase_one,
     estimate_critical_visibility,
     joint_feasibility_problem,
     solve_joint_feasibility,
@@ -49,7 +51,6 @@ def test_feasible_below_the_bound():
     lam = symmetric_critical_visibility(2) - 0.05
     res = solve_joint_feasibility(_qubit_problem(lam))
     assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
-    assert res.objective <= 1e-6
     assert res.marginal_residual < 1e-6
     assert res.min_eigenvalue > -1e-7
     grid = res.grid
@@ -91,28 +92,32 @@ def _conflicted_problem():
     )
 
 
-def test_positive_objective_when_diag_stats_conflict():
-    # phase one stalls, phase two still finds a grid
-    res = solve_joint_feasibility(_conflicted_problem())
-    assert res.status is FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE
-    assert res.objective > 0.01
-    assert res.marginal_residual < 1e-6
-
-
-def test_phase_one_fails_without_a_zero_objective_grid():
+def test_infeasible_without_a_grid_matching_the_pinned_statistics():
     # the sharp qubit pair stalls in the kernel
-    *_, gap, _, code = _phase_one(_qubit_problem(1.0), 1e-7, 20000)
-    assert code == 1 and gap > 0.1
+    res = solve_joint_feasibility(_qubit_problem(1.0))
+    assert res.status is FeasibilityStatus.INFEASIBLE and res.gap > 0.1
     # the conflicted pin converges in gap, but its marginals fail the check
-    *_, gap, _, code = _phase_one(_conflicted_problem(), 1e-7, 20000)
-    assert code == 1 and gap <= 1e-7
-    *_, code = _phase_one(_qubit_problem(0.6), 1e-7, 20000)
-    assert code == 0
+    res = solve_joint_feasibility(_conflicted_problem())
+    assert res.status is FeasibilityStatus.INFEASIBLE and res.gap <= 1e-7
+    assert res.marginal_residual > STALL_SCALE * 1e-7
+    res = solve_joint_feasibility(_qubit_problem(0.6))
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+
+
+def test_kernel_grid_keeps_the_pinned_diagonals():
+    # exact equality is why the solver reports no diagonal-statistics mismatch
+    prob = _qubit_problem(0.6)
+    target = np.ascontiguousarray(np.diagonal(prob.targets, axis1=2, axis2=3).real)
+    for x0, max_iter in ((prob.targets, 20000), (np.zeros_like(prob.targets), 3)):
+        grid, *_ = _kernels.dykstra(
+            prob.a_effects, prob.b_effects, target, x0, 1e-7, max_iter,
+            STALL_WINDOW, STALL_SCALE,
+        )
+        assert np.array_equal(np.diagonal(grid, axis1=2, axis2=3), target)
 
 
 def test_status_enum_values():
     assert FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE.value == "FeasibleZeroObjective"
-    assert FeasibilityStatus.FEASIBLE_POSITIVE_OBJECTIVE.value == "FeasiblePositiveObjective"
     assert FeasibilityStatus.INFEASIBLE.value == "Infeasible"
     assert FeasibilityStatus.MAX_ITERATIONS.value == "MaxIterations"
 

@@ -6,6 +6,7 @@ from jointwork.bloch import VisibilityPair, gamma_bound
 from jointwork.errors import AssignmentDomainError
 from jointwork.gtpm import free_energy_difference, gibbs_state
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
+from jointwork.povm import luders_instrument, noisy_effects, povm_from_effects
 from jointwork.workobs import (
     AssignmentKind,
     build_joint_observable,
@@ -21,6 +22,10 @@ from jointwork.workobs import (
 @pytest.fixture
 def qubit():
     return hamiltonian_from_energies([0.0, 1.0])
+
+
+def _instrument(h, visibility):
+    return luders_instrument(noisy_effects(h, visibility))
 
 
 def test_naive_assignment(qubit):
@@ -44,7 +49,7 @@ def test_corrected_assignment_example(qubit):
 
 
 def test_jarzynski_assignment_values(qubit):
-    f = jarzynski_assignment(qubit, 1.0, 0.9)
+    f = jarzynski_assignment(_instrument(qubit, 0.9), 1.0)
     assert f.kind is AssignmentKind.JARZYNSKI
     assert abs(f.values[0] - (-0.1003288640981550)) < 1e-12
     assert abs(f.values[1] - 1.0345152451903040) < 1e-12
@@ -52,19 +57,25 @@ def test_jarzynski_assignment_values(qubit):
 
 def test_jarzynski_assignment_domain_error(qubit):
     with pytest.raises(AssignmentDomainError) as exc:
-        jarzynski_assignment(qubit, 1.0, 0.4)
+        jarzynski_assignment(_instrument(qubit, 0.4), 1.0)
     assert exc.value.outcome == 0
     assert abs(exc.value.min_visibility - 0.4621171572600098) < 1e-12
 
 
 def test_jarzynski_assignment_sharp_limit_recovers_energies(qubit):
-    f = jarzynski_assignment(qubit, 1.0, 1.0 - 1e-12)
+    f = jarzynski_assignment(_instrument(qubit, 1.0 - 1e-12), 1.0)
     assert np.allclose(f.values, [0.0, 1.0], atol=1e-9)
 
 
 def test_jarzynski_assignment_rejects_bad_beta(qubit):
     with pytest.raises(ValueError):
-        jarzynski_assignment(qubit, -1.0, 0.9)
+        jarzynski_assignment(_instrument(qubit, 0.9), -1.0)
+
+
+def test_jarzynski_assignment_needs_a_noisy_energy_instrument(qubit):
+    generic = luders_instrument(povm_from_effects(noisy_effects(qubit, 0.9).effects))
+    with pytest.raises(ValueError):
+        jarzynski_assignment(generic, 1.0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -144,7 +155,7 @@ def test_jarzynski_sum_matches_partition_ratio(qubit):
     w = build_joint_observable(qubit, h_b, u, pair)
     rho = gibbs_state(qubit, beta).rho
     dist = work_distribution(
-        w, rho, jarzynski_assignment(qubit, beta, lam), naive_assignment(h_b)
+        w, rho, jarzynski_assignment(w.instrument, beta), naive_assignment(h_b)
     )
     got = jarzynski_sum(dist, beta)
     want = (1.0 + np.exp(-2.0)) / (1.0 + np.exp(-1.0))
@@ -159,6 +170,6 @@ def test_jarzynski_sum_trivial_case(qubit):
     w = build_joint_observable(qubit, qubit, np.eye(2, dtype=complex), pair)
     rho = gibbs_state(qubit, beta).rho
     dist = work_distribution(
-        w, rho, jarzynski_assignment(qubit, beta, lam), naive_assignment(qubit)
+        w, rho, jarzynski_assignment(w.instrument, beta), naive_assignment(qubit)
     )
     assert abs(jarzynski_sum(dist, beta) - 1.0) < 1e-12
