@@ -8,20 +8,15 @@ feasibility solver. Everything runs on numpy alone.
 """
 
 from .bloch import (
-    GellMannBasis,
     VisibilityPair,
-    build_basis,
-    channel_matrix,
     choi_matrix,
     choi_positivity_margin,
-    from_bloch,
     gamma_bound,
     kappa,
     lambda_mub,
     lambda_opt,
     product_state_minimum,
     symmetric_critical_visibility,
-    to_bloch,
 )
 from .errors import (
     AssignmentDomainError,
@@ -29,7 +24,6 @@ from .errors import (
     DegenerateSpectrumError,
     JointWorkError,
     NonInvertibleInstrumentError,
-    NonlinearMapError,
     NotHermitianError,
     NotPsdError,
     NotUnitaryError,
@@ -45,7 +39,6 @@ from .feasibility import (
 )
 from .gtpm import (
     DiagonalState,
-    GibbsState,
     fluctuation_residual,
     free_energy_difference,
     gibbs_state,
@@ -57,8 +50,6 @@ from .operators import (
     haar_random_unitary,
     hamiltonian_from_energies,
     matrix_sqrt_psd,
-    min_eigenvalue,
-    spectral_decompose,
 )
 from .povm import (
     LuedersInstrument,

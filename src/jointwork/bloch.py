@@ -1,111 +1,19 @@
-"""Generalized Gell-Mann basis, Bloch-picture channel matrices, and the
-closed-form visibility bounds.
-
-Conventions: for dimension d the basis is G_0 = 1/sqrt(d) followed by the
-symmetric off-diagonal generators (pairs j<k in lexicographic order), the
-antisymmetric ones in the same pair order, then the d-1 diagonal ladder
-generators. All generators are orthonormal under the Hilbert-Schmidt inner
-product, so Bloch coefficients are plain traces.
+"""Closed-form visibility bounds and the Choi positivity certificate, both
+resting on the measurement channel keeping populations in the measured
+eigenbasis and scaling every coherence by kappa(d, lam).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonInvertibleInstrumentError, NonlinearMapError
+from .errors import NonInvertibleInstrumentError
 from .operators import require_hermitian
 
 # visibility this close to 1 makes the measurement channel numerically singular
 INVERTIBILITY_CUTOFF = 1.0 - 1e-9
-
-CHANNEL_REALNESS_TOL = 1e-12
-LINEARITY_SPOT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GellMannBasis:
-    dim: int
-    generators: np.ndarray  # (d*d, d, d) complex, G_0 first
-
-    def __post_init__(self):
-        self.generators.setflags(write=False)
-
-    @property
-    def offdiagonal_count(self) -> int:
-        # symmetric + antisymmetric generators, the block scaled by kappa
-        return self.dim * self.dim - self.dim
-
-
-@lru_cache(maxsize=None)
-def build_basis(d: int) -> GellMannBasis:
-    """Orthonormal Hermitian basis of d x d matrices in the fixed ordering."""
-    if d < 2:
-        raise ValueError(f"basis needs d >= 2, got {d}")
-    gens = np.zeros((d * d, d, d), dtype=np.complex128)
-    gens[0] = np.eye(d) / np.sqrt(d)
-    idx = 1
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    for j, k in pairs:
-        g = np.zeros((d, d), dtype=np.complex128)
-        g[j, k] = g[k, j] = 1.0 / np.sqrt(2.0)
-        gens[idx] = g
-        idx += 1
-    for j, k in pairs:
-        g = np.zeros((d, d), dtype=np.complex128)
-        g[j, k] = -1j / np.sqrt(2.0)
-        g[k, j] = 1j / np.sqrt(2.0)
-        gens[idx] = g
-        idx += 1
-    for l in range(1, d):
-        v = np.zeros(d)
-        v[:l] = 1.0
-        v[l] = -float(l)
-        gens[idx] = np.diag(v / np.sqrt(l * (l + 1.0))).astype(np.complex128)
-        idx += 1
-    return GellMannBasis(dim=d, generators=gens)
-
-
-def to_bloch(x, basis: GellMannBasis) -> np.ndarray:
-    """Coefficients Tr[G_mu X] of a Hermitian X, as a real d^2 vector."""
-    a = require_hermitian(x)
-    if a.shape[0] != basis.dim:
-        raise ValueError(f"operator dim {a.shape[0]} != basis dim {basis.dim}")
-    return np.einsum("mij,ji->m", basis.generators, a).real
-
-
-def from_bloch(coeffs, basis: GellMannBasis) -> np.ndarray:
-    v = np.asarray(coeffs, dtype=np.float64).ravel()
-    if v.shape[0] != basis.dim ** 2:
-        raise ValueError(f"need {basis.dim ** 2} coefficients, got {v.shape[0]}")
-    return np.einsum("m,mij->ij", v, basis.generators)
-
-
-def channel_matrix(map_fn, basis: GellMannBasis) -> np.ndarray:
-    """Real matrix L_{mu nu} = Tr[G_mu map(G_nu)] of a linear map.
-
-    A one-shot linearity spot check rejects silently nonlinear callables;
-    a map that does not preserve Hermiticity shows up as complex entries
-    and is rejected too.
-    """
-    g = basis.generators
-    probe = map_fn(g[0] + 0.5 * g[1])
-    split = map_fn(g[0]) + 0.5 * map_fn(g[1])
-    if np.max(np.abs(probe - split)) > LINEARITY_SPOT_TOL:
-        raise NonlinearMapError(
-            f"map fails linearity spot check by {np.max(np.abs(probe - split)):.3e}"
-        )
-    n = basis.dim ** 2
-    images = np.stack([map_fn(g[nu]) for nu in range(n)])
-    lam = np.einsum("mij,nji->mn", g, images)
-    worst = np.max(np.abs(lam.imag))
-    if worst > CHANNEL_REALNESS_TOL:
-        raise NonlinearMapError(
-            f"map is not Hermiticity-preserving (imaginary part {worst:.3e})"
-        )
-    return lam.real
 
 
 def kappa(d: int, lam: float) -> float:
@@ -174,9 +82,6 @@ class VisibilityPair:
             raise ValueError(
                 f"visibilities must lie strictly inside (0,1), got ({self.lam}, {self.gamma})"
             )
-
-    def admissible(self, d: int) -> bool:
-        return self.gamma <= gamma_bound(d, self.lam)
 
 
 def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:

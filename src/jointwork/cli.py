@@ -22,6 +22,7 @@ recorded in the report header, so every emitted report is reproducible.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -266,6 +267,8 @@ def _load_spec(path: str) -> dict:
 
 def _resolve_seed(args, spec_seed=None) -> int:
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise CliInputError("--seed must be an unsigned 64-bit integer")
         return args.seed
     if spec_seed is not None:
         return spec_seed
@@ -389,7 +392,7 @@ def cmd_run(args) -> int:
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
 
-    fluct = fluctuation_residual(w, gibbs.as_diagonal())
+    fluct = fluctuation_residual(w, gibbs)
 
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
@@ -678,11 +681,9 @@ def cmd_sample(args) -> int:
 
 
 def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     sp.add_argument(
         "--precision", type=int, default=7, help="significant digits in output (1..15)"
     )
-    sp.add_argument("--force", action="store_true", help="proceed past physics guards")
     sp.add_argument("--output", default=None, help="write machine-readable records here")
     sp.add_argument(
         "--format",
@@ -706,6 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="full report for an experiment file")
     r.add_argument("spec", help="path to a JSON experiment file")
+    r.add_argument("--force", action="store_true", help="proceed past the positivity bound")
     _add_common(r)
     r.set_defaults(func=cmd_run)
 
@@ -729,6 +731,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, default=None, help="override sample count")
     _add_common(s)
     s.set_defaults(func=cmd_sample)
+
+    # bounds draws nothing, so only the commands that draw take a seed
+    for seeded in (r, v, f, s):
+        seeded.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
     return ap
 
 
@@ -737,10 +743,12 @@ def main(argv=None) -> int:
     if not 1 <= args.precision <= 15:
         print("error: --precision must lie in 1..15", file=sys.stderr)
         return EXIT_INPUT
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        # refuse the --output targets that open() rejects before any work runs
+        if args.output and os.path.isdir(args.output):
+            raise CliInputError(f"cannot write --output {args.output}: {os.strerror(errno.EISDIR)}")
+        if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+            raise CliInputError(f"cannot write --output {args.output}: {os.strerror(errno.ENOENT)}")
         code = args.func(args)
         sys.stdout.flush()
         return code

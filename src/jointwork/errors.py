@@ -21,10 +21,6 @@ class DegenerateSpectrumError(JointWorkError):
     """Eigenvalue gap too small to define outcome projectors unambiguously."""
 
 
-class NonlinearMapError(JointWorkError):
-    """Callable passed as a linear map failed the linearity spot check."""
-
-
 class NonInvertibleInstrumentError(JointWorkError):
     """Measurement channel is singular (or numerically so) and cannot be undone."""
 

@@ -63,10 +63,6 @@ class FeasibilityProblem:
         for arr in (self.a_effects, self.b_effects, self.targets, self.probe_basis):
             arr.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.a_effects.shape[1]
-
 
 def joint_feasibility_problem(
     h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, u, lam: float, gamma: float

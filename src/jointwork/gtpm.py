@@ -22,25 +22,6 @@ DISTRIBUTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class GibbsState:
-    beta: float
-    hamiltonian: SpectralHamiltonian
-    probabilities: np.ndarray
-    partition_function: float
-
-    def __post_init__(self):
-        self.probabilities.setflags(write=False)
-
-    @property
-    def rho(self) -> np.ndarray:
-        v = self.hamiltonian.basis
-        return (v * self.probabilities) @ v.conj().T
-
-    def as_diagonal(self) -> "DiagonalState":
-        return DiagonalState(probabilities=self.probabilities.copy(), basis=self.hamiltonian)
-
-
-@dataclass(frozen=True)
 class DiagonalState:
     """Mixture of the eigenprojectors of a reference Hamiltonian."""
 
@@ -51,8 +32,8 @@ class DiagonalState:
         p = self.probabilities
         if p.ndim != 1 or p.shape[0] != self.basis.dim:
             raise ValueError(f"need {self.basis.dim} probabilities, got shape {p.shape}")
-        if np.min(p) < -1e-14 or abs(float(np.sum(p)) - 1.0) > 1e-12:
-            raise ValueError("probabilities must be nonnegative and sum to 1")
+        if not np.all(np.isfinite(p)) or np.min(p) < -1e-14 or abs(float(np.sum(p)) - 1.0) > 1e-12:
+            raise ValueError("probabilities must be finite, nonnegative and sum to 1")
         p.setflags(write=False)
 
     @property
@@ -61,20 +42,18 @@ class DiagonalState:
         return (v * self.probabilities) @ v.conj().T
 
 
-def gibbs_state(h: SpectralHamiltonian, beta: float) -> GibbsState:
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+def gibbs_state(h: SpectralHamiltonian, beta: float) -> DiagonalState:
+    """Gibbs state exp(-beta H)/Z of h as a DiagonalState; needs 0 < beta < inf."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     log_z = float(logsumexp(-beta * h.energies))
-    p = np.exp(-beta * h.energies - log_z)
-    return GibbsState(
-        beta=beta, hamiltonian=h, probabilities=p, partition_function=float(np.exp(log_z))
-    )
+    return DiagonalState(probabilities=np.exp(-beta * h.energies - log_z), basis=h)
 
 
 def free_energy_difference(h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, beta: float) -> float:
-    """dF = -(1/beta) ln(Z_B/Z_A), computed in log space."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    """dF = -(1/beta) ln(Z_B/Z_A), computed in log space; needs 0 < beta < inf."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     log_za = float(logsumexp(-beta * h_a.energies))
     log_zb = float(logsumexp(-beta * h_b.energies))
     return -(log_zb - log_za) / beta

@@ -51,12 +51,6 @@ def require_unitary(m, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.n
     return a
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    a = require_hermitian(m)
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 def logsumexp(x) -> float:
     """log(sum(exp(x))) of a finite real vector, by scipy.special.logsumexp's
     algorithm: shift by the maximum, leave the maxima out of the exponential
@@ -117,18 +111,6 @@ class SpectralHamiltonian:
             )
         for arr in (self.energies, self.basis, self.projectors):
             arr.setflags(write=False)
-
-
-def spectral_decompose(h) -> SpectralHamiltonian:
-    """Eigendecompose a Hermitian matrix into a SpectralHamiltonian.
-
-    Raises DegenerateSpectrumError when two eigenvalues are closer than
-    EIGENVALUE_GAP_TOL, since outcome projectors are then ill-defined.
-    """
-    a = require_hermitian(h, name="hamiltonian")
-    w, v = np.linalg.eigh(a)
-    proj = np.einsum("ik,jk->kij", v, v.conj())
-    return SpectralHamiltonian(energies=w.astype(np.float64), basis=v, projectors=proj)
 
 
 def hamiltonian_from_energies(energies, basis=None) -> SpectralHamiltonian:

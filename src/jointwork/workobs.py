@@ -88,10 +88,11 @@ def jarzynski_assignment(inst: LuedersInstrument, beta: float) -> EnergyAssignme
     sum_a e^{beta f(a)} A_a^(1/2) rho_Gibbs A_a^(1/2) = (1/Z) * 1
     is fixed at 1/Z, so that at visibility 1 the values collapse to the
     eigenvalues. The identity is verified on construction to 1e-10, through
-    `inst` itself. Raises ValueError when `inst` carries no Hamiltonian.
+    `inst` itself. Raises ValueError unless 0 < beta < inf, and when `inst`
+    carries no Hamiltonian.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if inst.hamiltonian is None or inst.visibility is None:
         raise ValueError("log-domain assignment needs a noisy-energy instrument")
     h, visibility = inst.hamiltonian, inst.visibility

@@ -4,86 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from jointwork.bloch import (
     VisibilityPair,
-    build_basis,
-    channel_matrix,
     choi_matrix,
     choi_positivity_margin,
-    from_bloch,
     gamma_bound,
     kappa,
     lambda_mub,
     lambda_opt,
     product_state_minimum,
     symmetric_critical_visibility,
-    to_bloch,
 )
-from jointwork.errors import NonlinearMapError, NotHermitianError
-from jointwork.operators import hamiltonian_from_energies
-from jointwork.povm import depolarize, instrument_channel, luders_instrument, noisy_effects
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_basis_orthonormal(d):
-    g = build_basis(d)
-    n = d * d
-    assert g.generators.shape == (n, d, d)
-    gram = np.einsum("aij,bji->ab", g.generators, g.generators).real
-    assert np.allclose(gram, np.eye(n), atol=1e-12)
-    for m in g.generators:
-        assert np.allclose(m, m.conj().T, atol=1e-15)
-    assert np.allclose(g.generators[0], np.eye(d) / np.sqrt(d), atol=1e-15)
-    assert g.offdiagonal_count == d * d - d
-
-
-def test_basis_d2_matches_scaled_paulis():
-    g = build_basis(2)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    assert np.allclose(g.generators[1], sx / np.sqrt(2))
-    assert np.allclose(g.generators[2], sy / np.sqrt(2))
-    assert np.allclose(g.generators[3], sz / np.sqrt(2))
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_bloch_round_trip(d, rng):
-    g = build_basis(d)
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = x + x.conj().T
-    c = to_bloch(h, g)
-    assert c.dtype == np.float64
-    assert np.allclose(from_bloch(c, g), h, atol=1e-12)
-
-
-def test_channel_matrix_depolarizing():
-    d, gamma = 3, 0.7
-    g = build_basis(d)
-    cm = channel_matrix(lambda x: depolarize(x, gamma), g)
-    want = np.diag([1.0] + [gamma] * (d * d - 1))
-    assert np.allclose(cm, want, atol=1e-12)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_channel_matrix_instrument_structure(d):
-    # in the measured eigenbasis the update channel keeps populations and
-    # scales every coherence by kappa
-    lam = 0.6
-    h = hamiltonian_from_energies(np.arange(d, dtype=float))
-    inst = luders_instrument(noisy_effects(h, lam))
-    g = build_basis(d)
-    cm = channel_matrix(lambda x: instrument_channel(inst, x), g)
-    k = kappa(d, lam)
-    off = d * d - d
-    want = np.diag([1.0] + [k] * off + [1.0] * (d - 1))
-    assert np.allclose(cm, want, atol=1e-12)
-
-
-def test_channel_matrix_rejects_nonlinear():
-    g = build_basis(2)
-    with pytest.raises(NonlinearMapError):
-        channel_matrix(lambda x: x @ x, g)
-    with pytest.raises(NonlinearMapError):
-        channel_matrix(lambda x: 1j * x, g)
+from jointwork.errors import NotHermitianError
 
 
 def test_kappa_values():
@@ -107,7 +37,7 @@ def test_kappa_and_bound_stay_in_unit_interval(d, lam):
     b = gamma_bound(d, lam)
     assert 0.0 < k <= 1.0 + 1e-12
     assert 0.0 < b <= 1.0 + 1e-12
-    assert VisibilityPair(lam, min(b * 0.999, 0.999)).admissible(d)
+    assert VisibilityPair(lam, min(b * 0.999, 0.999)).gamma <= b
 
 
 def test_symmetric_critical_visibility_closed_form_d2():
@@ -145,9 +75,8 @@ def test_visibility_pair_validation():
         VisibilityPair(0.0, 0.5)
     with pytest.raises(ValueError):
         VisibilityPair(0.5, 1.0)
-    p = VisibilityPair(0.5, 0.5)
-    assert p.admissible(3)
-    assert not VisibilityPair(0.9, 0.9).admissible(2)
+    assert VisibilityPair(0.5, 0.5).gamma <= gamma_bound(3, 0.5)
+    assert VisibilityPair(0.9, 0.9).gamma > gamma_bound(2, 0.9)
 
 
 def test_choi_matrix_shape_and_hermiticity():

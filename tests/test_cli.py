@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import jointwork
+from jointwork import cli
 from jointwork.cli import EXIT_BROKEN_PIPE, main
 
 QUBIT_SPEC = {
@@ -67,10 +68,32 @@ def test_bounds_csv_file_round_trip(tmp_path, capsys):
         (["bounds", "2", "3", "--format", "csv"], "."),
     ],
 )
-def test_unwritable_output_is_an_input_error(tmp_path, capsys, argv, target):
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch, argv, target):
+    # the target is refused before any work runs, not after it
+    cases = []
+    verify_case = cli._verify_case
+    monkeypatch.setattr(cli, "_verify_case", lambda *a: cases.append(a) or verify_case(*a))
     assert main([*argv, "--output", str(tmp_path / target)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --output") and captured.err.count("\n") == 1
+    assert captured.out == "" and cases == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "2", "3", "--seed", "1"],
+        ["bounds", "2", "3", "--force"],
+        ["verify", "--force"],
+        ["feasibility", "--force"],
+        ["sample", "exp.json", "--force"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_report_and_records(tmp_path, capsys):

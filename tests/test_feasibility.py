@@ -44,7 +44,7 @@ def test_sharp_visibility_is_expressible():
     # lam = gamma = 1 encodes the projective pair even though the analytic
     # construction itself stops short of that point
     prob = _qubit_problem(1.0)
-    assert prob.dim == 2
+    assert prob.a_effects.shape[1] == 2
 
 
 def test_feasible_below_the_bound():

@@ -33,18 +33,21 @@ def _setup(d, lam, gam, useed, rng=None):
 
 def test_gibbs_state_anchor(qubit):
     g = gibbs_state(qubit, 1.0)
-    assert abs(g.partition_function - 1.3678794411714423) < 1e-14
+    assert isinstance(g, DiagonalState) and g.basis is qubit
+    # p_0 = 1/Z with Z = 1 + e^-1 = 1.3678794411714423
     assert np.allclose(
         g.probabilities, [0.7310585786300049, 0.2689414213699951], atol=1e-14
     )
     assert abs(np.trace(g.rho).real - 1.0) < 1e-14
-    d = g.as_diagonal()
-    assert np.allclose(d.probabilities, g.probabilities)
 
 
 def test_gibbs_state_needs_positive_beta(qubit):
-    with pytest.raises(ValueError):
-        gibbs_state(qubit, 0.0)
+    # rejected before any arithmetic, so no RuntimeWarning comes first
+    for beta in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            gibbs_state(qubit, beta)
+        with pytest.raises(ValueError):
+            free_energy_difference(qubit, qubit, beta)
 
 
 def test_diagonal_state_validation(qubit):
@@ -52,6 +55,9 @@ def test_diagonal_state_validation(qubit):
         DiagonalState(probabilities=np.array([0.6, 0.6]), basis=qubit)
     with pytest.raises(ValueError):
         DiagonalState(probabilities=np.array([1.2, -0.2]), basis=qubit)
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [0.5, -np.inf]):
+        with pytest.raises(ValueError):
+            DiagonalState(probabilities=np.array(bad), basis=qubit)
     s = DiagonalState(probabilities=np.array([0.25, 0.75]), basis=qubit)
     assert np.allclose(s.rho, np.diag([0.25, 0.75]))
 

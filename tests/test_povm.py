@@ -79,15 +79,19 @@ def test_luders_apply_born_rule(ladder3, rng):
         luders_apply(inst, 3, rho)
 
 
-def test_instrument_channel_diagonal_structure(ladder3, rng):
+def test_instrument_channel_diagonal_structure(rng):
+    # in the measured eigenbasis the update channel keeps populations and
+    # scales every coherence by kappa
     lam = 0.55
-    inst = luders_instrument(noisy_effects(ladder3, lam))
-    k = kappa(3, lam)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = x + x.conj().T
-    out = instrument_channel(inst, h)
-    want = h * k + np.diag(np.diag(h)) * (1.0 - k)
-    assert np.allclose(out, want, atol=1e-12)
+    for d in (3, 2, 4):
+        ladder = hamiltonian_from_energies(np.arange(d, dtype=float))
+        inst = luders_instrument(noisy_effects(ladder, lam))
+        k = kappa(d, lam)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = x + x.conj().T
+        out = instrument_channel(inst, h)
+        want = h * k + np.diag(np.diag(h)) * (1.0 - k)
+        assert np.allclose(out, want, atol=1e-12), d
 
 
 def test_inverse_channel_round_trip(rng):

@@ -68,8 +68,9 @@ def test_jarzynski_assignment_sharp_limit_recovers_energies(qubit):
 
 
 def test_jarzynski_assignment_rejects_bad_beta(qubit):
-    with pytest.raises(ValueError):
-        jarzynski_assignment(_instrument(qubit, 0.9), -1.0)
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            jarzynski_assignment(_instrument(qubit, 0.9), beta)
 
 
 def test_jarzynski_assignment_needs_a_noisy_energy_instrument(qubit):
