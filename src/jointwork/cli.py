@@ -241,6 +241,14 @@ def _load_spec(path: str) -> dict:
     if not _is_number(beta) or beta <= 0:
         raise CliInputError(f"{path}.beta: expected a positive number")
     spec["beta"] = float(beta)
+    # beta*E must be finite for the Gibbs weights; compared without forming
+    # the product, which would overflow (the quotient may be inf, which is fine)
+    e_limit = sys.float_info.max / spec["beta"]
+    for key, name in (("h_a", "hamiltonian_a"), ("h_b", "hamiltonian_b")):
+        if float(np.max(np.abs(spec[key].energies))) > e_limit:
+            raise CliInputError(
+                f"{path}.{name}.energies: beta * energy overflows at beta={spec['beta']}"
+            )
 
     araw = raw.get("assignments", {})
     if not isinstance(araw, dict):

@@ -184,8 +184,10 @@ def estimate_critical_visibility(
     sampled unitary; the returned value is the largest passing visibility at
     the requested resolution. A probe that exhausts its iteration budget
     counts as failing (certification, not proof), and a probe stops at its
-    first failing unitary. Appends (visibility, passed) pairs to `history`
-    when given.
+    first failing unitary. The unitaries are tried fail-first: the one that
+    failed last moves to the front, so a failing probe usually stops at its
+    first solve; the verdicts do not depend on the order. Appends
+    (visibility, passed) pairs to `history` when given.
     """
     if n_unitaries < 1:
         raise ValueError(f"need at least one unitary, got {n_unitaries}")
@@ -204,7 +206,12 @@ def estimate_critical_visibility(
         return status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
 
     def passes(lam):
-        ok = all(certified(u, lam) for u in unitaries)
+        ok = True
+        for i, u in enumerate(unitaries):
+            if not certified(u, lam):
+                unitaries.insert(0, unitaries.pop(i))  # fail-first order
+                ok = False
+                break
         if history is not None:
             history.append((lam, ok))
         return ok

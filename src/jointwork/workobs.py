@@ -243,9 +243,10 @@ def work_distribution(
 
 
 def jarzynski_sum(dist: WorkDistribution, beta: float) -> float:
-    """Exponential work average sum_ab p(a,b) e^{-beta w(a,b)}."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    """Exponential work average sum_ab p(a,b) e^{-beta w(a,b)}; needs
+    0 < beta < inf."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return float(np.sum(dist.probability * np.exp(-beta * dist.work)))
 
 

@@ -206,6 +206,19 @@ def test_spec_rejects_booleans_and_non_finite_numbers(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_spec_rejects_overflowing_beta_times_energy(tmp_path, capsys):
+    for command in ("run", "sample"):
+        for key in ("hamiltonian_a", "hamiltonian_b"):
+            spec = _write_spec(tmp_path, beta=1e10, **{key: {"energies": [-1e300, 0.0]}})
+            assert main([command, spec]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {spec}.{key}.energies: beta * energy overflows")
+    # the same energies at beta = 1 keep beta * E finite
+    spec = _write_spec(tmp_path, hamiltonian_a={"energies": [-1e300, 0.0]})
+    assert main(["sample", spec]) == 0
+    capsys.readouterr()
+
+
 def test_run_with_haar_seed(tmp_path, capsys):
     spec = _write_spec(tmp_path, unitary={"haar_seed": 5})
     out = tmp_path / "r.jsonl"

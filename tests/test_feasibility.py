@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,60 @@ def test_estimate_verdicts_match_the_full_solver(d):
             for u in unitaries
         ]
         assert ok == all(s is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE for s in statuses)
+
+
+# estimate, probe history and solves per probe of
+# estimate_critical_visibility(d, 20, seed=seed, max_iter=1500), the solves
+# counted with the unitaries tried in index order
+PINNED_ESTIMATES = {
+    (2, 1): (
+        0.711875,
+        [(0.02, True), (0.98, False), (0.5, True), (0.74, False), (0.62, True),
+         (0.6799999999999999, True), (0.71, True), (0.725, False), (0.7175, False),
+         (0.71375, False), (0.711875, True), (0.7128125000000001, False)],
+        [20, 1, 20, 1, 20, 20, 20, 4, 4, 4, 20, 4],
+    ),
+    (2, 2): (
+        0.7062499999999999,
+        [(0.02, True), (0.98, False), (0.5, True), (0.74, False), (0.62, True),
+         (0.6799999999999999, True), (0.71, False), (0.695, True),
+         (0.7024999999999999, True), (0.7062499999999999, True),
+         (0.7081249999999999, False), (0.7071874999999999, False)],
+        [20, 1, 20, 1, 20, 20, 6, 20, 20, 20, 6, 6],
+    ),
+    (3, 1): (
+        0.6387499999999999,
+        [(0.02, True), (0.98, False), (0.5, True), (0.74, False), (0.62, True),
+         (0.6799999999999999, False), (0.6499999999999999, False), (0.635, True),
+         (0.6425, False), (0.6387499999999999, True), (0.640625, False),
+         (0.6396875, False)],
+        [20, 1, 20, 1, 20, 1, 4, 20, 5, 20, 5, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("d, seed", sorted(PINNED_ESTIMATES))
+def test_estimate_is_pinned_and_fail_first_saves_solves(d, seed, monkeypatch):
+    estimate, pinned_history, index_order_solves = PINNED_ESTIMATES[(d, seed)]
+    history = []
+    solves = Counter()
+    kernel = _kernels.dykstra
+
+    def counted(*args):
+        solves[len(history)] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "dykstra", counted)
+    assert estimate_critical_visibility(
+        d, 20, seed=seed, max_iter=1500, history=history
+    ) == estimate
+    assert history == pinned_history
+    per_probe = [solves[i] for i in range(len(history))]
+    assert sum(solves.values()) == sum(per_probe)
+    assert all(a <= b for a, b in zip(per_probe, index_order_solves))
+    # a probe that fails at the unitary which failed the probe before it
+    # stops after one solve
+    assert sum(per_probe) < sum(index_order_solves)
 
 
 def test_estimate_stops_at_float_resolution():

@@ -163,6 +163,9 @@ def test_jarzynski_sum_matches_partition_ratio(qubit):
     assert abs(got - want) < 1e-12
     assert abs(got - 0.8299965984314521) < 1e-12
     assert abs(free_energy_difference(qubit, h_b, beta) - 0.1863336764752503) < 1e-12
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            jarzynski_sum(dist, bad)
 
 
 def test_jarzynski_sum_trivial_case(qubit):
