@@ -55,19 +55,11 @@ def lambda_opt(d: int) -> float:
     return (d - 2.0 + np.sqrt(d * d + 4.0 * d - 4.0)) / (4.0 * (d - 1.0))
 
 
-def lambda_mub(d: int, printed: bool = False) -> float:
-    """Critical visibility for mutually unbiased pairs.
-
-    The corrected reading 0.5*(1 + 1/(sqrt(d)+1)) is the default; printed=True
-    returns the variant 0.5/(sqrt(d)+1), kept for comparison (at d=2 it drops
-    below every other reference value, which is why it is not the default).
-    """
+def lambda_mub(d: int) -> float:
+    """Critical visibility for mutually unbiased pairs, 0.5*(1 + 1/(sqrt(d)+1))."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    inner = 1.0 / (np.sqrt(d) + 1.0)
-    if printed:
-        return 0.5 * inner
-    return 0.5 * (1.0 + inner)
+    return 0.5 * (1.0 + 1.0 / (np.sqrt(d) + 1.0))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ Commands:
     feasibility  empirical critical visibility via the convex solver
     sample       Monte Carlo counts for one experiment file
 
+Stdout prints one line per report record, `<record> key=value ...`, with
+the keys in the order the command builds them and values at --precision
+significant digits; `bounds` prints a CSV table instead. --output writes
+the same records for machines (json-lines or csv).
+
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 inadmissible physics parameters, 4 solver non-convergence,
 141 standard output closed early (as by `jointwork bounds 2 64 | head -1`;
@@ -76,23 +81,24 @@ class CliPhysicsError(Exception):
 # ---------------------------------------------------------------- formatting
 
 
+def _scalar(value):
+    """A numpy scalar as the Python bool, int or float it holds."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _fmt(value, precision: int) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    value = _scalar(value)
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{precision}g}"
+    if isinstance(value, float):
+        return f"{value:.{precision}g}"
     return str(value)
 
 
 def _round(value, precision: int):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.{precision}g}")
+    value = _scalar(value)
+    if isinstance(value, float):
+        return float(f"{value:.{precision}g}")
     return value
 
 
@@ -125,10 +131,13 @@ def _write_output(path: str, lines) -> None:
         raise CliInputError(f"cannot write --output {path}: {exc.strerror or exc}") from exc
 
 
-def _print_section(title: str, pairs, precision: int) -> None:
-    print(title)
-    for key, value in pairs:
-        print(f"  {key}: {_fmt(value, precision)}")
+def _report(records, args) -> None:
+    """Print one line per record, `<record> key=value ...` with the keys in
+    insertion order, then write the same records to --output."""
+    for rec in records:
+        fields = (f"{k}={_fmt(v, args.precision)}" for k, v in rec.items() if k != "record")
+        print(" ".join([rec["record"], *fields]))
+    _emit(records, args)
 
 
 # ------------------------------------------------------------- spec parsing
@@ -150,10 +159,20 @@ def _is_number(x) -> bool:
         return False
 
 
-def _req(obj: dict, key: str, where: str):
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, where: str, ok, expected: str, default=_REQUIRED):
+    """obj[key] when ok accepts it, or default when the key is absent. A
+    missing field without a default, or a value ok rejects, is an input error."""
     if key not in obj:
-        raise CliInputError(f"{where}: missing required field '{key}'")
-    return obj[key]
+        if default is _REQUIRED:
+            raise CliInputError(f"{where}: missing required field '{key}'")
+        return default
+    value = obj[key]
+    if not ok(value):
+        raise CliInputError(f"{where}.{key}: expected {expected}")
+    return value
 
 
 def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
@@ -174,17 +193,15 @@ def _parse_matrix(raw, d: int, where: str) -> np.ndarray:
     return out
 
 
-def _parse_hamiltonian(raw, d: int, where: str):
-    if not isinstance(raw, dict):
-        raise CliInputError(f"{where}: expected an object")
-    energies = _req(raw, "energies", where)
-    if not isinstance(energies, list) or len(energies) != d or not all(
-        _is_number(x) for x in energies
-    ):
-        raise CliInputError(f"{where}.energies: expected {d} numbers")
-    basis = None
-    if "basis" in raw:
-        basis = _parse_matrix(raw["basis"], d, f"{where}.basis")
+def _parse_hamiltonian(raw: dict, key: str, d: int, path: str):
+    h = _field(raw, key, path, lambda x: isinstance(x, dict), "an object")
+    where = f"{path}.{key}"
+    energies = _field(
+        h, "energies", where,
+        lambda e: isinstance(e, list) and len(e) == d and all(_is_number(x) for x in e),
+        f"{d} numbers",
+    )
+    basis = _parse_matrix(h["basis"], d, f"{where}.basis") if "basis" in h else None
     try:
         return hamiltonian_from_energies(np.asarray(energies, dtype=np.float64), basis)
     except (JointWorkError, ValueError) as exc:
@@ -203,73 +220,63 @@ def _load_spec(path: str) -> dict:
         ) from exc
     if not isinstance(raw, dict):
         raise CliInputError(f"{path}: top level must be an object")
-    d = _req(raw, "dimension", path)
-    if not _is_int(d) or d < 2:
-        raise CliInputError(f"{path}.dimension: expected an integer >= 2")
+    d = _field(raw, "dimension", path, lambda x: _is_int(x) and x >= 2, "an integer >= 2")
     spec = {"dimension": d}
-    spec["h_a"] = _parse_hamiltonian(_req(raw, "hamiltonian_a", path), d, f"{path}.hamiltonian_a")
-    spec["h_b"] = _parse_hamiltonian(_req(raw, "hamiltonian_b", path), d, f"{path}.hamiltonian_b")
+    spec["h_a"] = _parse_hamiltonian(raw, "hamiltonian_a", d, path)
+    spec["h_b"] = _parse_hamiltonian(raw, "hamiltonian_b", d, path)
 
-    uraw = _req(raw, "unitary", path)
-    if not isinstance(uraw, dict) or not ("haar_seed" in uraw) ^ ("matrix" in uraw):
-        raise CliInputError(
-            f"{path}.unitary: expected exactly one of 'haar_seed' or 'matrix'"
-        )
+    uraw = _field(
+        raw, "unitary", path,
+        lambda u: isinstance(u, dict) and ("haar_seed" in u) ^ ("matrix" in u),
+        "exactly one of 'haar_seed' or 'matrix'",
+    )
     if "haar_seed" in uraw:
-        hs = uraw["haar_seed"]
-        if not _is_int(hs) or hs < 0:
-            raise CliInputError(f"{path}.unitary.haar_seed: expected a nonnegative integer")
+        hs = _field(
+            uraw, "haar_seed", f"{path}.unitary", lambda s: _is_int(s) and s >= 0,
+            "a nonnegative integer",
+        )
         spec["unitary"] = haar_random_unitary(d, hs)
         spec["haar_seed"] = hs
     else:
         spec["unitary"] = _parse_matrix(uraw["matrix"], d, f"{path}.unitary.matrix")
         spec["haar_seed"] = None
 
-    vraw = _req(raw, "visibility", path)
-    if not isinstance(vraw, dict):
-        raise CliInputError(f"{path}.visibility: expected an object")
-    lam = _req(vraw, "lambda", f"{path}.visibility")
-    gam = _req(vraw, "gamma", f"{path}.visibility")
-    if not all(_is_number(x) for x in (lam, gam)):
-        raise CliInputError(f"{path}.visibility: lambda and gamma must be numbers")
+    vraw = _field(raw, "visibility", path, lambda v: isinstance(v, dict), "an object")
+    where = f"{path}.visibility"
+    lam, gam = (_field(vraw, k, where, _is_number, "a number") for k in ("lambda", "gamma"))
     try:
         spec["pair"] = VisibilityPair(float(lam), float(gam))
     except ValueError as exc:
-        raise CliInputError(f"{path}.visibility: {exc}") from exc
+        raise CliInputError(f"{where}: {exc}") from exc
 
-    beta = raw.get("beta", 1.0)
-    if not _is_number(beta) or beta <= 0:
-        raise CliInputError(f"{path}.beta: expected a positive number")
-    spec["beta"] = float(beta)
-    # beta*E must be finite for the Gibbs weights; compared without forming
-    # the product, which would overflow (the quotient may be inf, which is fine)
-    e_limit = sys.float_info.max / spec["beta"]
+    beta = _field(raw, "beta", path, lambda b: _is_number(b) and b > 0, "a positive number", 1.0)
+    spec["beta"] = beta = float(beta)
+    # beta*E and beta*(max E - min E) must be finite for the Gibbs weights;
+    # compared without forming the products, which would overflow (the
+    # quotient may be inf, which is fine)
+    e_limit = sys.float_info.max / beta
     for key, name in (("h_a", "hamiltonian_a"), ("h_b", "hamiltonian_b")):
-        if float(np.max(np.abs(spec[key].energies))) > e_limit:
-            raise CliInputError(
-                f"{path}.{name}.energies: beta * energy overflows at beta={spec['beta']}"
-            )
+        e = spec[key].energies
+        for what, size in (("energy", np.max(np.abs(e))), ("energy spread", e[-1] - e[0])):
+            if size > e_limit:
+                raise CliInputError(
+                    f"{path}.{name}.energies: beta * {what} overflows at beta={beta}"
+                )
 
-    araw = raw.get("assignments", {})
-    if not isinstance(araw, dict):
-        raise CliInputError(f"{path}.assignments: expected an object")
-    fkind = araw.get("f", "corrected")
-    gkind = araw.get("g", "corrected")
-    if fkind not in ("naive", "corrected", "jarzynski"):
-        raise CliInputError(f"{path}.assignments.f: unknown kind {fkind!r}")
-    if gkind not in ("naive", "corrected"):
-        raise CliInputError(f"{path}.assignments.g: unknown kind {gkind!r}")
-    spec["f_kind"], spec["g_kind"] = fkind, gkind
-
-    samples = raw.get("samples", 100000)
-    if not _is_int(samples) or not 1 <= samples < SAMPLES_LIMIT:
-        raise CliInputError(f"{path}.samples: expected a positive integer below 2**63")
-    spec["samples"] = samples
-
-    seed = raw.get("seed")
-    if seed is not None and (not _is_int(seed) or seed < 0):
-        raise CliInputError(f"{path}.seed: expected a nonnegative integer")
-    spec["seed"] = seed
+    araw = _field(raw, "assignments", path, lambda a: isinstance(a, dict), "an object", {})
+    for key, kinds in (("f", ("naive", "corrected", "jarzynski")), ("g", ("naive", "corrected"))):
+        spec[f"{key}_kind"] = _field(
+            araw, key, f"{path}.assignments", lambda k: k in kinds, f"one of {', '.join(kinds)}",
+            "corrected",
+        )
+    spec["samples"] = _field(
+        raw, "samples", path, lambda n: _is_int(n) and 1 <= n < SAMPLES_LIMIT,
+        "a positive integer below 2**63", 100000,
+    )
+    spec["seed"] = _field(
+        raw, "seed", path, lambda s: s is None or (_is_int(s) and s >= 0),
+        "a nonnegative integer", None,
+    )
     return spec
 
 
@@ -338,34 +345,19 @@ def cmd_bounds(args) -> int:
         raise CliInputError(
             f"need 2 <= d_min <= d_max <= 64, got ({args.d_min}, {args.d_max})"
         )
-    p = args.precision
-    records = []
-    header = "d,lambda_sym,lambda_opt,lambda_mub_corrected,lambda_mub_printed"
-    lines = [header]
-    for d in range(args.d_min, args.d_max + 1):
-        row = {
+    records = [
+        {
             "record": "bound",
             "d": d,
             "lambda_sym": symmetric_critical_visibility(d),
             "lambda_opt": lambda_opt(d),
             "lambda_mub_corrected": lambda_mub(d),
-            "lambda_mub_printed": lambda_mub(d, printed=True),
         }
-        records.append(row)
-        lines.append(
-            ",".join(
-                [str(d)]
-                + [
-                    _fmt(row[k], p)
-                    for k in (
-                        "lambda_sym",
-                        "lambda_opt",
-                        "lambda_mub_corrected",
-                        "lambda_mub_printed",
-                    )
-                ]
-            )
-        )
+        for d in range(args.d_min, args.d_max + 1)
+    ]
+    columns = ("d", "lambda_sym", "lambda_opt", "lambda_mub_corrected")
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(rec[k], args.precision) for k in columns) for rec in records]
     print("\n".join(lines))
     if args.output and args.format == "csv":
         _write_output(args.output, lines)
@@ -379,7 +371,6 @@ def cmd_run(args) -> int:
     d, pair, beta, n = spec["dimension"], spec["pair"], spec["beta"], spec["samples"]
     h_a, h_b, u = spec["h_a"], spec["h_b"], spec["unitary"]
     seed = _resolve_seed(args, spec["seed"])
-    p = args.precision
 
     bound = gamma_bound(d, pair.lam)
     admissible = pair.gamma <= bound
@@ -399,8 +390,6 @@ def cmd_run(args) -> int:
     wvals = w.work_values(f_assign, g_assign)
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
-
-    fluct = fluctuation_residual(w, gibbs)
 
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
@@ -426,18 +415,17 @@ def cmd_run(args) -> int:
             "average_sampled": work_sampled,
             "sampling_deviation": abs(work_exact - work_sampled),
         },
-        {"record": "fluctuation", "max_residual": fluct},
+        {"record": "fluctuation", "max_residual": fluctuation_residual(w, gibbs)},
     ]
 
     jar_rec = {"record": "jarzynski"}
     try:
         weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta)
         jar_exact = float(np.sum(p_exact * weights))
-        jar_sampled = float(np.sum(freq * weights))
         jar_rec.update(
             {
                 "exact_sum": jar_exact,
-                "sampled_sum": jar_sampled,
+                "sampled_sum": float(np.sum(freq * weights)),
                 "reference": reference,
                 "free_energy_difference": delta_f,
                 "identity_residual": abs(jar_exact - reference),
@@ -449,45 +437,7 @@ def cmd_run(args) -> int:
         )
     records.append(jar_rec)
 
-    hdr = records[0]
-    _print_section(
-        "run",
-        [(k, hdr[k]) for k in ("dimension", "lambda", "gamma", "beta", "samples", "seed", "backend")],
-        p,
-    )
-    _print_section(
-        "bound",
-        [
-            ("gamma_bound", bound),
-            ("admissible", admissible),
-            ("min_effect_eigenvalue", w.min_effect_eigenvalue),
-            ("marginal_deviation", w.marginal_deviation),
-        ],
-        p,
-    )
-    _print_section(
-        "work",
-        [
-            ("average_exact", work_exact),
-            ("average_sampled", work_sampled),
-            ("fluctuation_residual", fluct),
-        ],
-        p,
-    )
-    if "exact_sum" in jar_rec:
-        _print_section(
-            "free_energy",
-            [
-                ("jarzynski_exact", jar_rec["exact_sum"]),
-                ("jarzynski_sampled", jar_rec["sampled_sum"]),
-                ("reference", jar_rec["reference"]),
-                ("delta_f", jar_rec["free_energy_difference"]),
-            ],
-            p,
-        )
-    else:
-        _print_section("free_energy", [("skipped", jar_rec["reason"])], p)
-    _emit(records, args)
+    _report(records, args)
     return EXIT_OK
 
 
@@ -579,13 +529,10 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(seed)
     records = [_header("verify", seed, {"dims": ",".join(map(str, dims)), "cases": args.cases})]
     all_ok = True
-    p = args.precision
     for d in dims:
         case_seeds = [int(s) for s in rng.integers(0, 2**63, size=args.cases)]
         results = [_verify_case(d, s) for s in case_seeds]
         rec = {"record": "verify", "d": d, "cases": args.cases}
-        pairs = []
-        skipped = sum(1 for r in results if r["jarzynski"] is None)
         for key, limit in VERIFY_LIMITS.items():
             vals = [r[key] for r in results if r[key] is not None]
             worst = max(vals) if vals else 0.0
@@ -593,16 +540,11 @@ def cmd_verify(args) -> int:
             all_ok = all_ok and ok
             rec[f"max_{key}"] = worst
             rec[f"ok_{key}"] = ok
-            pairs.append((f"max {key} (limit {limit:g})", worst))
-        rec["jarzynski_skipped"] = skipped
+        rec["jarzynski_skipped"] = sum(1 for r in results if r["jarzynski"] is None)
         rec["min_effect_eigenvalue"] = min(r["min_effect_eigenvalue"] for r in results)
-        pairs.append(("min effect eigenvalue", rec["min_effect_eigenvalue"]))
         records.append(rec)
-        _print_section(f"verify d={d} ({args.cases} cases, {skipped} jarzynski skips)", pairs, p)
-    verdict = "pass" if all_ok else "FAIL"
     records.append({"record": "verdict", "ok": all_ok})
-    print(f"verdict: {verdict}")
-    _emit(records, args)
+    _report(records, args)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -643,17 +585,7 @@ def cmd_feasibility(args) -> int:
             "deviation": abs(est - analytic),
         }
     )
-    _print_section(
-        f"feasibility d={args.dim}",
-        [
-            ("estimate", est),
-            ("analytic", analytic),
-            ("deviation", abs(est - analytic)),
-            ("probes", len(history)),
-        ],
-        args.precision,
-    )
-    _emit(records, args)
+    _report(records, args)
     return EXIT_OK
 
 
@@ -665,23 +597,20 @@ def cmd_sample(args) -> int:
     if not 1 <= n < SAMPLES_LIMIT:
         raise CliInputError("--samples must be >= 1 and below 2**63")
     seed = _resolve_seed(args, spec["seed"])
-    p = args.precision
     _, _, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
     counts = sample_gtpm(p_exact, n, seed)
     freq = counts / counts.sum()
     dev = float(np.max(np.abs(freq - p_exact)))
     fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     records = [_header("sample", seed, fields)]
-    _print_section("sample", [("samples", n), ("seed", seed), ("max_frequency_deviation", dev)], p)
     for a in range(d):
         for b in range(d):
             count, f, exact = int(counts[a, b]), float(freq[a, b]), float(p_exact[a, b])
             records.append(
                 {"record": "cell", "a": a, "b": b, "count": count, "frequency": f, "exact": exact}
             )
-            print(f"  ({a},{b}): count={count} freq={_fmt(f, p)} exact={_fmt(exact, p)}")
     records.append({"record": "summary", "max_frequency_deviation": dev})
-    _emit(records, args)
+    _report(records, args)
     return EXIT_OK
 
 

@@ -117,12 +117,18 @@ def hamiltonian_from_energies(energies, basis=None) -> SpectralHamiltonian:
     """Build a SpectralHamiltonian from levels and an optional eigenbasis.
 
     With basis omitted the computational basis is used. Energies must be
-    strictly ascending.
+    strictly ascending, and no two may differ by more than the float range.
     """
     e = np.asarray(energies, dtype=np.float64).ravel()
     d = e.shape[0]
-    if d > 1 and np.any(np.diff(e) < 0.0):
-        raise ValueError("energies must be strictly ascending")
+    if d > 1:
+        # a difference of finite energies can overflow; for ascending levels
+        # the largest one is the spread
+        with np.errstate(over="ignore"):
+            if np.any(np.diff(e) < 0.0):
+                raise ValueError("energies must be strictly ascending")
+            if not np.isfinite(e[-1] - e[0]):
+                raise ValueError("energy level differences overflow the float range")
     if basis is None:
         v = np.eye(d, dtype=np.complex128)
     else:

@@ -65,9 +65,9 @@ def test_lambda_opt_closed_form():
 
 def test_lambda_mub_variants():
     assert abs(lambda_mub(3) - 0.6830127018922193) < 1e-15
-    assert abs(lambda_mub(3, printed=True) - 0.1830127018922193) < 1e-15
-    for d in (2, 3, 4):
-        assert abs(lambda_mub(d) - lambda_mub(d, printed=True) - 0.5) < 1e-15
+    # 1/sqrt(2) for the qubit pair, 2/3 at d = 4
+    assert abs(lambda_mub(2) - 1.0 / np.sqrt(2.0)) < 1e-15
+    assert abs(lambda_mub(4) - 2.0 / 3.0) < 1e-15
 
 
 def test_visibility_pair_validation():

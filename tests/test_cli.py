@@ -35,8 +35,8 @@ def _write_spec(tmp_path, **overrides):
 def test_bounds_reference_row(capsys):
     assert main(["bounds", "2", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "d,lambda_sym,lambda_opt,lambda_mub_corrected,lambda_mub_printed"
-    assert lines[1] == "2,0.7071068,0.7071068,0.7071068,0.2071068"
+    assert lines[0] == "d,lambda_sym,lambda_opt,lambda_mub_corrected"
+    assert lines[1] == "2,0.7071068,0.7071068,0.7071068"
     assert len(lines) == 4
 
 
@@ -48,7 +48,7 @@ def test_bounds_rejects_bad_range(capsys):
 def test_bounds_precision_flag(capsys):
     assert main(["bounds", "2", "2", "--precision", "3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out[1] == "2,0.707,0.707,0.707,0.207"
+    assert out[1] == "2,0.707,0.707,0.707"
     assert main(["bounds", "2", "2", "--precision", "0"]) == 2
     assert main(["bounds", "2", "2", "--precision", "16"]) == 2
 
@@ -101,7 +101,7 @@ def test_run_report_and_records(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     assert main(["run", spec, "--output", str(out)]) == 0
     stdout = capsys.readouterr().out
-    assert "jarzynski_exact: 0.8299966" in stdout
+    assert "exact_sum=0.8299966" in stdout
     records = [json.loads(line) for line in out.read_text().splitlines()]
     by_kind = {r["record"]: r for r in records}
     assert by_kind["header"]["seed"] == 11
@@ -213,6 +213,18 @@ def test_spec_rejects_overflowing_beta_times_energy(tmp_path, capsys):
             assert main([command, spec]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {spec}.{key}.energies: beta * energy overflows")
+            # each energy and beta*E is finite, but a level difference is not
+            spec = _write_spec(tmp_path, **{key: {"energies": [-1.5e308, 1.5e308]}})
+            assert main([command, spec]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {spec}.{key}: energy level differences overflow")
+            assert err.count("\n") == 1
+            # beta*E is finite, but beta*(max E - min E) is not
+            spec = _write_spec(tmp_path, beta=1e8, **{key: {"energies": [-1e300, 1e300]}})
+            assert main([command, spec]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {spec}.{key}.energies: beta * energy spread overflows")
+            assert err.count("\n") == 1
     # the same energies at beta = 1 keep beta * E finite
     spec = _write_spec(tmp_path, hamiltonian_a={"energies": [-1e300, 0.0]})
     assert main(["sample", spec]) == 0
@@ -280,7 +292,34 @@ def test_sample_csv_triplets(tmp_path, capsys):
 def test_verify_small(capsys):
     assert main(["verify", "--dims", "2", "--cases", "4", "--seed", "1"]) == 0
     out = capsys.readouterr().out
-    assert "verdict: pass" in out
+    assert out.splitlines()[-1] == "verdict ok=true"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "SPEC"],
+        ["sample", "SPEC", "--samples", "1000"],
+        ["verify", "--dims", "2,3", "--cases", "3", "--seed", "1"],
+        ["feasibility", "--dim", "2", "--unitaries", "2", "--max-iter", "200", "--seed", "1"],
+    ],
+    ids=["run", "sample", "verify", "feasibility"],
+)
+def test_stdout_lines_are_the_report_records(tmp_path, capsys, argv):
+    # stdout renders the --output records: line i is record i, its kind
+    # first, then every key of that record with the value _fmt gives it
+    argv = [_write_spec(tmp_path) if a == "SPEC" else a for a in argv]
+    out = tmp_path / "r.jsonl"
+    assert main([*argv, "--output", str(out), "--precision", "15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        kind, *fields = line.split(" ")
+        assert kind == rec.pop("record")
+        assert dict(f.split("=", 1) for f in fields) == {
+            k: cli._fmt(v, 15) for k, v in rec.items()
+        }
 
 
 def test_verify_rejects_bad_dims(capsys):

@@ -81,6 +81,15 @@ def test_hamiltonian_from_energies_plain():
         hamiltonian_from_energies([1.0, 0.0])
 
 
+def test_hamiltonian_rejects_overflowing_level_differences():
+    # every energy is finite, but their difference is not
+    with pytest.raises(ValueError, match="overflow"):
+        hamiltonian_from_energies([-1.5e308, 1.5e308])
+    with pytest.raises(ValueError, match="overflow"):
+        hamiltonian_from_energies([-1e308, 0.0, 1e308])
+    assert hamiltonian_from_energies([-8e307, 8e307]).dim == 2
+
+
 def test_hamiltonian_rotated_basis():
     u = haar_random_unitary(3, 7)
     h = hamiltonian_from_energies([0.0, 1.0, 2.0], u)
