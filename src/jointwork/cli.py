@@ -113,7 +113,7 @@ def _emit(records, args) -> None:
             lines.append(json.dumps(rounded, sort_keys=True))
     else:
         for rec in records:
-            name = rec.get("record", "record")
+            name = rec["record"]
             for key in sorted(rec):
                 if key == "record":
                     continue
@@ -330,11 +330,18 @@ def _jarzynski_terms(w, h_a, h_b, beta: float):
     """exp(-beta w(a,b)) over the grid for the log-domain first assignment
     and the bare second one, the reference exp(-beta dF), and dF. Raises
     AssignmentDomainError when the first visibility is too small for the
-    log-domain values."""
+    log-domain values, and OverflowError when an exponential leaves the
+    float range."""
     f_jar = jarzynski_assignment(w.instrument, beta)
-    weights = np.exp(-beta * w.work_values(f_jar, naive_assignment(h_b)))
+    work = w.work_values(f_jar, naive_assignment(h_b))
     delta_f = free_energy_difference(h_a, h_b, beta)
-    return weights, float(np.exp(-beta * delta_f)), delta_f
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * work)
+        reference = float(np.exp(-beta * delta_f))
+    for name, x in (("exp(-beta w)", weights), ("exp(-beta dF)", reference)):
+        if not np.all(np.isfinite(x)):
+            raise OverflowError(f"{name} overflows the float range")
+    return weights, reference, delta_f
 
 
 # ------------------------------------------------------------------ commands
@@ -435,6 +442,8 @@ def cmd_run(args) -> int:
         jar_rec.update(
             {"skipped": True, "reason": str(exc), "min_visibility": exc.min_visibility}
         )
+    except OverflowError as exc:
+        jar_rec.update({"skipped": True, "reason": str(exc)})
     records.append(jar_rec)
 
     _report(records, args)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
-from .povm import Povm, heisenberg_povm, luders_instrument, noisy_effects
+from .povm import Povm, check_marginals, heisenberg_povm, luders_instrument, noisy_effects
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -37,61 +37,55 @@ class FeasibilityStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Marginal data and diagonal-statistics targets for the joint search.
+    """Marginal data and diagonal-statistics targets for the joint search,
+    in the problem's frame: the projectors P_k of the statistics constraints
+    are the computational-basis ones."""
 
-    probe_basis columns define the projectors P_k used for the statistics
-    constraints (the eigenbasis of the first Hamiltonian).
-    """
-
-    a_effects: np.ndarray  # (m, d, d)
-    b_effects: np.ndarray  # (n, d, d)
+    a: Povm  # m outcomes
+    b: Povm  # n outcomes
     targets: np.ndarray  # (m, n, d, d)
-    probe_basis: np.ndarray  # (d, d)
 
     def __post_init__(self):
-        Povm(effects=self.a_effects.copy())
-        Povm(effects=self.b_effects.copy())
+        if not (isinstance(self.a, Povm) and isinstance(self.b, Povm)):
+            raise TypeError("both marginals must be Povm instances")
+        if self.a.dim != self.b.dim:
+            raise ValueError(f"marginal dimensions differ: {self.a.dim} != {self.b.dim}")
         t = self.targets
-        m, n = self.a_effects.shape[0], self.b_effects.shape[0]
-        d = self.a_effects.shape[1]
+        m, n, d = self.a.outcomes, self.b.outcomes, self.a.dim
         if t.shape != (m, n, d, d):
             raise ValueError(f"targets shape {t.shape} != ({m}, {n}, {d}, {d})")
         if np.max(np.abs(t - t.conj().transpose(0, 1, 3, 2))) > 1e-10:
             raise ValueError("targets must be Hermitian blocks")
-        if self.probe_basis.shape != (d, d):
-            raise ValueError("probe basis shape mismatch")
-        for arr in (self.a_effects, self.b_effects, self.targets, self.probe_basis):
-            arr.setflags(write=False)
+        t.setflags(write=False)
 
 
 def joint_feasibility_problem(
     h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, u, lam: float, gamma: float
 ) -> FeasibilityProblem:
-    """Problem instance for a noisy measurement pair around a unitary.
+    """Problem instance for a noisy measurement pair around a unitary, posed
+    in the eigenbasis V of the first Hamiltonian.
 
+    Conjugating every effect by V keeps joint measurability, so the pair
+    (A_a, U^dag B_b U) becomes the first Hamiltonian's levels measured in
+    the computational basis and the second measurement conjugated by U V.
     Visibilities may be 1 here (sharp limit): the search itself never needs
     the inverse channel, so the projective no-go case is expressible.
     """
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
-    a_povm = noisy_effects(h_a, lam)
+    a_povm = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
     inst = luders_instrument(a_povm)
-    b_heis = heisenberg_povm(noisy_effects(h_b, gamma).povm, u)
+    b_heis = heisenberg_povm(noisy_effects(h_b, gamma).povm, u @ h_a.basis)
     targets = np.einsum(
         "aij,bjk,akl->abil", inst.sqrt_effects, b_heis.effects, inst.sqrt_effects
     )
-    return FeasibilityProblem(
-        a_effects=a_povm.effects.copy(),
-        b_effects=b_heis.effects.copy(),
-        targets=targets,
-        probe_basis=h_a.basis.copy(),
-    )
+    return FeasibilityProblem(a=a_povm.povm, b=b_heis, targets=targets)
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     status: FeasibilityStatus
-    grid: np.ndarray  # (m, n, d, d), lab frame
+    grid: np.ndarray  # (m, n, d, d), the problem's frame
     marginal_residual: float
     min_eigenvalue: float
     iterations: int
@@ -101,31 +95,11 @@ class FeasibilityResult:
         self.grid.setflags(write=False)
 
 
-def _to_frame(grid, v):
-    return np.einsum("ji,abjk,kl->abil", v.conj(), grid, v)
-
-
-def _from_frame(grid, v):
-    return np.einsum("ij,abjk,lk->abil", v, grid, v.conj())
-
-
-def _marginal_residual(problem: FeasibilityProblem, grid) -> float:
-    """Largest entrywise deviation of a lab-frame grid's row and column sums
-    from the two marginals."""
-    return float(
-        max(
-            np.max(np.abs(grid.sum(axis=1) - problem.a_effects)),
-            np.max(np.abs(grid.sum(axis=0) - problem.b_effects)),
-        )
-    )
-
-
 def solve_joint_feasibility(
     problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
 ) -> FeasibilityResult:
-    """Project with the diagonal statistics pinned, in the probe frame
-    (eigenbasis of the first Hamiltonian); never raises on non-convergence,
-    the status field carries the verdict.
+    """Project with the diagonal statistics pinned, in the problem's frame;
+    never raises on non-convergence, the status field carries the verdict.
 
     The iteration starts at the target grid itself, which already satisfies
     the A-marginal and the diagonal statistics, leaving only the B-marginal
@@ -136,16 +110,13 @@ def solve_joint_feasibility(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    v = problem.probe_basis
-    ae = np.einsum("ji,ajk,kl->ail", v.conj(), problem.a_effects, v)
-    be = np.einsum("ji,ajk,kl->ail", v.conj(), problem.b_effects, v)
-    te = _to_frame(problem.targets, v)
-    tdiag = np.ascontiguousarray(np.diagonal(te, axis1=2, axis2=3).real)
-    k_e, gap, iters, code = _kernels.dykstra(
-        ae, be, tdiag, te, tol, max_iter, STALL_WINDOW, STALL_SCALE
+    t = problem.targets
+    tdiag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
+    grid, gap, iters, code = _kernels.dykstra(
+        problem.a.effects, problem.b.effects, tdiag, t, tol, max_iter,
+        STALL_WINDOW, STALL_SCALE,
     )
-    grid = _from_frame(k_e, v)
-    residual = _marginal_residual(problem, grid)
+    residual = check_marginals(grid, problem.a, problem.b)
     if code == 2:
         status = FeasibilityStatus.MAX_ITERATIONS
     elif code == 0 and residual <= STALL_SCALE * tol:

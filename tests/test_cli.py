@@ -166,6 +166,44 @@ def test_run_domain_skip_reported_for_other_assignments(tmp_path, capsys):
     assert 0.0 < jar["min_visibility"] < 1.0
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_run_skips_an_overflowing_jarzynski_identity(tmp_path, capsys):
+    # beta dF is about -1000, so exp(-beta dF) and some exp(-beta w) leave
+    # the float range; an overflow warning would fail this test
+    spec = _write_spec(tmp_path, hamiltonian_b={"energies": [-1000.0, 0.0]})
+    out = tmp_path / "r.jsonl"
+    assert main(["run", spec, "--output", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    records = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in out.read_text().splitlines()
+    ]
+    assert [r["record"] for r in records] == [
+        "header", "bound_check", "observable_audit", "work", "fluctuation", "jarzynski",
+    ]
+    reason = "exp(-beta w) overflows the float range"
+    assert records[-1] == {"record": "jarzynski", "skipped": True, "reason": reason}
+    assert stdout.splitlines()[-1] == f"jarzynski skipped=true reason={reason}"
+
+
+def _readme_block(readme: str, after: str, fence: str) -> str:
+    """The first fenced block opened by `fence` after the line `after`."""
+    start = readme.index(fence, readme.index(after)) + len(fence) + 1
+    return readme[start:readme.index("```", start)]
+
+
+def test_readme_run_example_matches_the_cli(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    spec = tmp_path / "experiment.json"
+    spec.write_text(_readme_block(readme, "Experiment file:", "```json"))
+    expected = _readme_block(readme, "`jointwork run experiment.json` prints:", "```")
+    assert main(["run", str(spec)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_input_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dimension": 2')

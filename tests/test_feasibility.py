@@ -34,19 +34,20 @@ def test_problem_validation():
     bad_targets = good.targets.copy()
     bad_targets[0, 0, 0, 1] += 1.0  # breaks hermiticity
     with pytest.raises(ValueError):
-        FeasibilityProblem(
-            a_effects=good.a_effects.copy(),
-            b_effects=good.b_effects.copy(),
-            targets=bad_targets,
-            probe_basis=good.probe_basis.copy(),
-        )
+        FeasibilityProblem(a=good.a, b=good.b, targets=bad_targets)
+    with pytest.raises(TypeError):
+        FeasibilityProblem(a=good.a.effects, b=good.b, targets=good.targets)
+    h3 = hamiltonian_from_energies([0.0, 1.0, 2.0])
+    qutrit = joint_feasibility_problem(h3, h3, np.eye(3), 0.6, 0.6)
+    with pytest.raises(ValueError):
+        FeasibilityProblem(a=qutrit.a, b=good.b, targets=good.targets)
 
 
 def test_sharp_visibility_is_expressible():
     # lam = gamma = 1 encodes the projective pair even though the analytic
     # construction itself stops short of that point
     prob = _qubit_problem(1.0)
-    assert prob.a_effects.shape[1] == 2
+    assert prob.a.effects.shape[1] == 2
 
 
 def test_feasible_below_the_bound():
@@ -58,7 +59,7 @@ def test_feasible_below_the_bound():
     grid = res.grid
     assert np.allclose(grid, grid.conj().transpose(0, 1, 3, 2), atol=1e-10)
     # marginals of the returned grid reproduce both effect families
-    assert np.max(np.abs(grid.sum(axis=1) - _qubit_problem(lam).a_effects)) < 1e-6
+    assert np.max(np.abs(grid.sum(axis=1) - _qubit_problem(lam).a.effects)) < 1e-6
 
 
 def test_infeasible_projective_pair():
@@ -86,12 +87,7 @@ def _conflicted_problem():
     prob = _qubit_problem(0.6)
     bumped = prob.targets.copy()
     bumped[0, 0, 0, 0] += 0.05
-    return FeasibilityProblem(
-        a_effects=prob.a_effects.copy(),
-        b_effects=prob.b_effects.copy(),
-        targets=bumped,
-        probe_basis=prob.probe_basis.copy(),
-    )
+    return FeasibilityProblem(a=prob.a, b=prob.b, targets=bumped)
 
 
 def test_infeasible_without_a_grid_matching_the_pinned_statistics():
@@ -112,7 +108,7 @@ def test_kernel_grid_keeps_the_pinned_diagonals():
     target = np.ascontiguousarray(np.diagonal(prob.targets, axis1=2, axis2=3).real)
     for x0, max_iter in ((prob.targets, 20000), (np.zeros_like(prob.targets), 3)):
         grid, *_ = _kernels.dykstra(
-            prob.a_effects, prob.b_effects, target, x0, 1e-7, max_iter,
+            prob.a.effects, prob.b.effects, target, x0, 1e-7, max_iter,
             STALL_WINDOW, STALL_SCALE,
         )
         assert np.array_equal(np.diagonal(grid, axis1=2, axis2=3), target)
@@ -133,6 +129,30 @@ def test_haar_feasibility_matches_closed_form_region(rng):
             joint_feasibility_problem(h, h, u, lam_crit - 0.03, lam_crit - 0.03)
         )
         assert below.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rotated_first_hamiltonian_is_posed_in_its_eigenbasis(d):
+    energies = np.arange(d, dtype=np.float64)
+    v = haar_random_unitary(d, 11)
+    h_rot = hamiltonian_from_energies(energies, v)
+    h_diag = hamiltonian_from_energies(energies)
+    h_b = hamiltonian_from_energies(energies, haar_random_unitary(d, 12))
+    u = haar_random_unitary(d, 13)
+    lam = symmetric_critical_visibility(d) - 0.03
+    rot = joint_feasibility_problem(h_rot, h_b, u, lam, lam)
+    diag = joint_feasibility_problem(h_diag, h_b, u @ v, lam, lam)
+    assert np.array_equal(rot.a.effects, diag.a.effects)
+    assert np.array_equal(rot.b.effects, diag.b.effects)
+    assert np.array_equal(rot.targets, diag.targets)
+    res = solve_joint_feasibility(rot)
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+    # the sharp pair: the first Hamiltonian's levels against the levels
+    # rotated by V H V^dag, mutually unbiased in any frame
+    if d == 2:
+        sharp = joint_feasibility_problem(h_rot, h_rot, v @ HAD @ v.conj().T, 1.0, 1.0)
+        res = solve_joint_feasibility(sharp)
+        assert res.status is FeasibilityStatus.INFEASIBLE and res.gap > 0.1
 
 
 def test_estimate_critical_visibility_qubit():

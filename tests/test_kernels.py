@@ -50,16 +50,15 @@ def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_windo
 
 
 def _kernel_inputs(d, lam, u, real=False):
-    # energies 0..d-1 give the identity eigenbasis, so the lab frame is the
-    # probe frame the solver hands to the kernel
+    # the problem's arrays, which the solver hands to the kernel as they are
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     prob = joint_feasibility_problem(h, h, u, lam, lam)
-    a, b, t = prob.a_effects, prob.b_effects, prob.targets
+    a, b, t = prob.a.effects, prob.b.effects, prob.targets
     if real:
         assert not np.any(t.imag) and not np.any(b.imag)
         a, b, t = a.real, b.real, t.real
     diag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
-    # a writable x0 in einsum's memory order, as the solver passes it
+    # x0 in the targets' memory order, as the solver passes them
     return a, b, diag, t.copy(order="K")
 
 
