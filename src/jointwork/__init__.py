@@ -49,10 +49,8 @@ from .operators import (
     SpectralHamiltonian,
     haar_random_unitary,
     hamiltonian_from_energies,
-    matrix_sqrt_psd,
 )
 from .povm import (
-    LuedersInstrument,
     NoisyEnergyPovm,
     Povm,
     check_marginals,
@@ -61,12 +59,9 @@ from .povm import (
     instrument_channel,
     inverse_instrument_channel,
     luders_apply,
-    luders_instrument,
     noisy_effects,
-    povm_from_effects,
 )
 from .workobs import (
-    AssignmentKind,
     EnergyAssignment,
     JointWorkObservable,
     WorkDistribution,

@@ -262,6 +262,14 @@ def _load_spec(path: str) -> dict:
                 raise CliInputError(
                     f"{path}.{name}.energies: beta * {what} overflows at beta={beta}"
                 )
+    # a work value g(b) - f(a) spans both level sets; the difference is taken
+    # in Python floats, which overflow to inf without a warning
+    e_a, e_b = spec["h_a"].energies, spec["h_b"].energies
+    if float(max(e_a[-1], e_b[-1])) - float(min(e_a[0], e_b[0])) > e_limit:
+        raise CliInputError(
+            f"{path}: beta * energy spread across hamiltonian_a and hamiltonian_b "
+            f"overflows at beta={beta}"
+        )
 
     araw = _field(raw, "assignments", path, lambda a: isinstance(a, dict), "an object", {})
     for key, kinds in (("f", ("naive", "corrected", "jarzynski")), ("g", ("naive", "corrected"))):
@@ -476,11 +484,11 @@ def _verify_case(d: int, case_seed: int):
         "min_effect_eigenvalue": w.min_effect_eigenvalue,
     }
 
-    f = EnergyAssignment(values=rng.standard_normal(d), kind=naive_assignment(h_a).kind)
-    g = EnergyAssignment(values=rng.standard_normal(d), kind=naive_assignment(h_b).kind)
+    f = EnergyAssignment(values=rng.standard_normal(d))
+    g = EnergyAssignment(values=rng.standard_normal(d))
     lhs = np.einsum("ab,abij->ij", w.work_values(f, g), w.effects)
     rhs = np.einsum("a,aij->ij", g.values, w.b_povm.effects) - np.einsum(
-        "a,aij->ij", f.values, w.a_povm.effects
+        "a,aij->ij", f.values, w.instrument.effects
     )
     out["average_condition"] = float(np.max(np.abs(lhs - rhs)))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
-from .povm import Povm, check_marginals, heisenberg_povm, luders_instrument, noisy_effects
+from .povm import Povm, check_marginals, heisenberg_povm, noisy_effects
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -73,13 +73,10 @@ def joint_feasibility_problem(
     """
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
-    a_povm = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
-    inst = luders_instrument(a_povm)
+    a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
     b_heis = heisenberg_povm(noisy_effects(h_b, gamma).povm, u @ h_a.basis)
-    targets = np.einsum(
-        "aij,bjk,akl->abil", inst.sqrt_effects, b_heis.effects, inst.sqrt_effects
-    )
-    return FeasibilityProblem(a=a_povm.povm, b=b_heis, targets=targets)
+    targets = np.einsum("aij,bjk,akl->abil", a.sqrt_effects, b_heis.effects, a.sqrt_effects)
+    return FeasibilityProblem(a=a.povm, b=b_heis, targets=targets)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpectrumError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
-)
+from .errors import DegenerateSpectrumError, NotHermitianError, NotUnitaryError
 
 HERMITICITY_TOL = 1e-12
-PSD_FLOOR = -1e-10
 EIGENVALUE_GAP_TOL = 1e-9
 UNITARITY_TOL = 1e-10
 
@@ -62,21 +56,6 @@ def logsumexp(x) -> float:
     m = float(np.count_nonzero(at_top))
     s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
     return float(np.log1p(s / m) + np.log(m) + top)
-
-
-def matrix_sqrt_psd(m, floor: float = PSD_FLOOR) -> np.ndarray:
-    """Principal square root of a positive semidefinite matrix.
-
-    Eigenvalues in [floor, 0) are clamped to zero; anything below floor
-    raises NotPsdError.
-    """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh(a)
-    if w[0] < floor:
-        raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} below floor {floor:.1e}")
-    w = np.sqrt(np.clip(w, 0.0, None))
-    root = (v * w) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
 
 
 @dataclass(frozen=True)

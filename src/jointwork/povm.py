@@ -1,4 +1,4 @@
-"""POVMs, noisy energy measurements, and the square-root (Lueders) instrument.
+"""POVMs and the noisy energy measurement with its square-root (Lueders) update.
 
 The workhorse fact used throughout: in the eigenbasis of the measured
 Hamiltonian the instrument channel X -> sum_a A_a^(1/2) X A_a^(1/2) leaves
@@ -10,18 +10,12 @@ numerical superoperator inversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bloch import INVERTIBILITY_CUTOFF, kappa
 from .errors import NonInvertibleInstrumentError, NotPsdError
-from .operators import (
-    SpectralHamiltonian,
-    as_square_array,
-    matrix_sqrt_psd,
-    require_unitary,
-)
+from .operators import SpectralHamiltonian, as_square_array, require_unitary
 
 EFFECT_PSD_FLOOR = -1e-10
 COMPLETENESS_TOL = 1e-10
@@ -54,17 +48,22 @@ class Povm:
         return self.effects.shape[1]
 
 
-def povm_from_effects(effects) -> Povm:
-    return Povm(effects=np.asarray(effects, dtype=np.complex128))
-
-
 @dataclass(frozen=True)
 class NoisyEnergyPovm:
-    """Unsharp energy measurement: effect_a = lam*P_a + (1-lam)/d * 1."""
+    """Unsharp energy measurement effect_a = lam*P_a + (1-lam)/d * 1 and its
+    square-root instrument rho -> A_a^(1/2) rho A_a^(1/2).
+
+    The Hamiltonian and visibility are kept so the measurement channel can
+    be inverted exactly in the eigenbasis.
+    """
 
     hamiltonian: SpectralHamiltonian
     visibility: float
     povm: Povm
+    sqrt_effects: np.ndarray  # (d, d, d), sqrt_effects[a] = effects[a]^(1/2)
+
+    def __post_init__(self):
+        self.sqrt_effects.setflags(write=False)
 
     @property
     def effects(self) -> np.ndarray:
@@ -80,57 +79,26 @@ class NoisyEnergyPovm:
 
 
 def noisy_effects(h: SpectralHamiltonian, visibility: float) -> NoisyEnergyPovm:
+    """The noisy energy measurement of h at the given visibility in [0, 1].
+
+    Each effect has eigenvalue lam + (1-lam)/d on its projector and
+    (1-lam)/d elsewhere, so its square root is the same projector
+    combination with rooted weights.
+    """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0,1], got {visibility}")
     d = h.dim
     eye = np.eye(d, dtype=np.complex128)
     eff = visibility * h.projectors + (1.0 - visibility) / d * eye
-    return NoisyEnergyPovm(hamiltonian=h, visibility=visibility, povm=Povm(effects=eff))
+    c1 = np.sqrt(visibility + (1.0 - visibility) / d)
+    c0 = np.sqrt((1.0 - visibility) / d)
+    roots = (c1 - c0) * h.projectors + c0 * eye
+    return NoisyEnergyPovm(
+        hamiltonian=h, visibility=visibility, povm=Povm(effects=eff), sqrt_effects=roots
+    )
 
 
-@dataclass(frozen=True)
-class LuedersInstrument:
-    """Square-root state-update maps rho -> A_a^(1/2) rho A_a^(1/2).
-
-    For noisy energy POVMs the Hamiltonian and visibility are kept so the
-    channel can be inverted exactly in the eigenbasis.
-    """
-
-    povm: Povm
-    sqrt_effects: np.ndarray  # (m, d, d)
-    hamiltonian: Optional[SpectralHamiltonian] = None
-    visibility: Optional[float] = None
-
-    def __post_init__(self):
-        self.sqrt_effects.setflags(write=False)
-
-    @property
-    def outcomes(self) -> int:
-        return self.povm.outcomes
-
-    @property
-    def dim(self) -> int:
-        return self.povm.dim
-
-
-def luders_instrument(p) -> LuedersInstrument:
-    """Build the Lueders instrument of a Povm or NoisyEnergyPovm."""
-    if isinstance(p, NoisyEnergyPovm):
-        # closed-form square roots: same projector structure, rooted weights
-        d = p.dim
-        lam = p.visibility
-        c1 = np.sqrt(lam + (1.0 - lam) / d)
-        c0 = np.sqrt((1.0 - lam) / d)
-        eye = np.eye(d, dtype=np.complex128)
-        roots = (c1 - c0) * p.hamiltonian.projectors + c0 * eye
-        return LuedersInstrument(
-            povm=p.povm, sqrt_effects=roots, hamiltonian=p.hamiltonian, visibility=lam
-        )
-    roots = np.stack([matrix_sqrt_psd(e) for e in p.effects])
-    return LuedersInstrument(povm=p, sqrt_effects=roots)
-
-
-def luders_apply(inst: LuedersInstrument, a: int, rho) -> np.ndarray:
+def luders_apply(inst: NoisyEnergyPovm, a: int, rho) -> np.ndarray:
     """Subnormalized post-measurement state for outcome a; its trace is the
     outcome probability."""
     if not 0 <= a < inst.outcomes:
@@ -140,7 +108,7 @@ def luders_apply(inst: LuedersInstrument, a: int, rho) -> np.ndarray:
     return s @ r @ s
 
 
-def instrument_channel(inst: LuedersInstrument, x) -> np.ndarray:
+def instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
     """Unselected measurement channel sum_a A_a^(1/2) X A_a^(1/2)."""
     a = as_square_array(x)
     if a.shape[0] != inst.dim:
@@ -148,15 +116,13 @@ def instrument_channel(inst: LuedersInstrument, x) -> np.ndarray:
     return np.einsum("aij,jk,akl->il", inst.sqrt_effects, a, inst.sqrt_effects)
 
 
-def inverse_instrument_channel(inst: LuedersInstrument, x) -> np.ndarray:
+def inverse_instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
     """Exact inverse of the measurement channel of a noisy energy POVM.
 
     In the measured eigenbasis the channel is diagonal: entries on the
     diagonal survive untouched, off-diagonal entries pick up kappa. The
     inverse divides them back out.
     """
-    if inst.hamiltonian is None or inst.visibility is None:
-        raise ValueError("inversion needs a noisy-energy instrument with its Hamiltonian")
     if inst.visibility >= INVERTIBILITY_CUTOFF:
         raise NonInvertibleInstrumentError(
             f"visibility {inst.visibility} makes the measurement channel singular"

@@ -6,13 +6,15 @@ evolve, measure the second unsharply (visibility gamma). The grid
     W_ab = A_a^(1/2) C_b A_a^(1/2),   C_b = inv_channel(depolarize(U^dag P'_b U))
 
 reproduces both marginals exactly for any unitary; whether every W_ab is
-positive is controlled by gamma against the closed-form bound. Energy
-assignment functions attach work values w(a,b) = g(b) - f(a) to the grid.
+positive is controlled by gamma against the closed-form bound. The first
+measurement is one NoisyEnergyPovm: its effects A_a are the grid's first
+marginal, and its closed-form roots A_a^(1/2) build the grid and verify the
+log-domain assignment. Energy assignment functions attach work values
+w(a,b) = g(b) - f(a) to the grid.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,23 +23,16 @@ from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
 from .operators import SpectralHamiltonian, logsumexp, require_hermitian, require_unitary
 from .povm import (
-    LuedersInstrument,
+    NoisyEnergyPovm,
     Povm,
     check_marginals,
     heisenberg_povm,
     inverse_instrument_channel,
     luders_apply,
-    luders_instrument,
     noisy_effects,
 )
 
 POSITIVITY_AUDIT_TOL = -1e-9
-
-
-class AssignmentKind(enum.Enum):
-    NAIVE = "naive"
-    CORRECTED_MEAN = "corrected"
-    JARZYNSKI = "jarzynski"
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class EnergyAssignment:
     """Outcome-indexed energy values used to define work w(a,b) = g(b) - f(a)."""
 
     values: np.ndarray
-    kind: AssignmentKind
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -59,7 +53,7 @@ class EnergyAssignment:
 
 def naive_assignment(h: SpectralHamiltonian) -> EnergyAssignment:
     """f(a) = E_a: read the sharp eigenvalue off the unsharp outcome."""
-    return EnergyAssignment(values=h.energies.astype(np.float64).copy(), kind=AssignmentKind.NAIVE)
+    return EnergyAssignment(values=h.energies.astype(np.float64).copy())
 
 
 def corrected_assignment(h: SpectralHamiltonian, visibility: float) -> EnergyAssignment:
@@ -75,26 +69,24 @@ def corrected_assignment(h: SpectralHamiltonian, visibility: float) -> EnergyAss
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflow to inf or nan fails EnergyAssignment's finiteness check
         vals = e / visibility - (1.0 - visibility) / visibility * ebar
-    return EnergyAssignment(values=vals, kind=AssignmentKind.CORRECTED_MEAN)
+    return EnergyAssignment(values=vals)
 
 
-def jarzynski_assignment(inst: LuedersInstrument, beta: float) -> EnergyAssignment:
+def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment:
     """Log-domain values that make exp(-beta f) telescope against the Gibbs
     weights, f(a) = (1/beta) ln[(1/lam)(e^{beta E_a} - (1-lam)/d * S)] with
     S = sum_a e^{beta E_a}. The energies E_a and the visibility lam are
-    read from `inst`, the instrument of the noisy energy measurement.
+    read from `inst`, the noisy energy measurement.
 
     The constant of the defining identity
     sum_a e^{beta f(a)} A_a^(1/2) rho_Gibbs A_a^(1/2) = (1/Z) * 1
     is fixed at 1/Z, so that at visibility 1 the values collapse to the
     eigenvalues. The identity is verified on construction to 1e-10, through
-    `inst` itself. Raises ValueError unless 0 < beta < inf, and when `inst`
-    carries no Hamiltonian.
+    the square-root update of `inst`. Raises ValueError unless
+    0 < beta < inf.
     """
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    if inst.hamiltonian is None or inst.visibility is None:
-        raise ValueError("log-domain assignment needs a noisy-energy instrument")
     h, visibility = inst.hamiltonian, inst.visibility
     if visibility <= 0.0:
         raise ZeroVisibilityError("log-domain assignment needs visibility > 0")
@@ -117,7 +109,7 @@ def jarzynski_assignment(inst: LuedersInstrument, beta: float) -> EnergyAssignme
             min_visibility=lam_min,
         )
     vals = (shift - np.log(visibility) + np.log(args)) / beta
-    assignment = EnergyAssignment(values=vals, kind=AssignmentKind.JARZYNSKI)
+    assignment = EnergyAssignment(values=vals)
 
     # verify the defining identity through the actual instrument maps
     if beta * float(np.max(np.abs(vals))) < 700.0:
@@ -144,13 +136,11 @@ class JointWorkObservable:
     min_effect_eigenvalue records how badly (with the witnessing index).
     """
 
-    pair: VisibilityPair
     unitary: np.ndarray
     effects: np.ndarray  # (d, d, d, d) grid, first index a, second b
-    a_povm: object
+    instrument: NoisyEnergyPovm  # first measurement A_a with its square-root update
     b_povm: Povm  # second measurement in the Heisenberg picture, U^dag B_b U
     b_lab: Povm  # the same measurement's lab-frame effects B_b
-    instrument: object
     min_effect_eigenvalue: float
     min_effect_index: tuple
     marginal_deviation: float
@@ -188,8 +178,7 @@ def build_joint_observable(
     if h_b.dim != d:
         raise ValueError(f"Hamiltonian dims differ: {d} vs {h_b.dim}")
     uu = require_unitary(u, name="process unitary")
-    a_povm = noisy_effects(h_a, pair.lam)
-    inst = luders_instrument(a_povm)
+    inst = noisy_effects(h_a, pair.lam)
     b_lab = noisy_effects(h_b, pair.gamma)
     b_heis = heisenberg_povm(b_lab.povm, uu)
     c = np.stack([inverse_instrument_channel(inst, eff) for eff in b_heis.effects])
@@ -197,15 +186,13 @@ def build_joint_observable(
     eigs = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 1, 3, 2)))
     flat = int(np.argmin(eigs[:, :, 0]))
     min_idx = (flat // d, flat % d)
-    dev = check_marginals(w, a_povm.povm, b_heis)
+    dev = check_marginals(w, inst.povm, b_heis)
     return JointWorkObservable(
-        pair=pair,
         unitary=uu.copy(),
         effects=w,
-        a_povm=a_povm,
+        instrument=inst,
         b_povm=b_heis,
         b_lab=b_lab.povm,
-        instrument=inst,
         min_effect_eigenvalue=float(eigs[:, :, 0].min()),
         min_effect_index=min_idx,
         marginal_deviation=dev,

@@ -36,7 +36,7 @@ from jointwork.gtpm import (
     sample_gtpm,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import luders_instrument, noisy_effects
+from jointwork.povm import noisy_effects
 from jointwork.workobs import (
     EnergyAssignment,
     build_joint_observable,
@@ -124,11 +124,11 @@ def test_criterion_05_average_condition(acceptance_log):
             h_b = random_hamiltonian(d, rng)
             u = haar_random_unitary(d, int(rng.integers(2**63)))
             w = build_joint_observable(h_a, h_b, u, pair)
-            f = EnergyAssignment(values=rng.standard_normal(d), kind=naive_assignment(h_a).kind)
-            g = EnergyAssignment(values=rng.standard_normal(d), kind=naive_assignment(h_b).kind)
+            f = EnergyAssignment(values=rng.standard_normal(d))
+            g = EnergyAssignment(values=rng.standard_normal(d))
             lhs = np.einsum("ab,abij->ij", w.work_values(f, g), w.effects)
             rhs = np.einsum("a,aij->ij", g.values, w.b_povm.effects) - np.einsum(
-                "a,aij->ij", f.values, w.a_povm.effects
+                "a,aij->ij", f.values, w.instrument.effects
             )
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -219,7 +219,7 @@ def test_criterion_08_jarzynski_identity_exact(acceptance_log):
     for d in (2, 3):
         for beta in (0.5, 1.0, 2.0):
             h_a, h_b, lam, gam = _jarzynski_setup(d, beta)
-            f = jarzynski_assignment(luders_instrument(noisy_effects(h_a, lam)), beta)
+            f = jarzynski_assignment(noisy_effects(h_a, lam), beta)
             g = naive_assignment(h_b)
             rho = gibbs_state(h_a, beta).rho
             b_lab = noisy_effects(h_b, gam).povm

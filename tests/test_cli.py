@@ -263,6 +263,19 @@ def test_spec_rejects_overflowing_beta_times_energy(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: {spec}.{key}.energies: beta * energy spread overflows")
             assert err.count("\n") == 1
+        # each Hamiltonian passes alone, but a work value E_b - E_a does not
+        spec = _write_spec(
+            tmp_path,
+            hamiltonian_a={"energies": [0.0, 1e308]},
+            hamiltonian_b={"energies": [-1e308, 0.0]},
+            assignments={"f": "naive", "g": "naive"},
+        )
+        assert main([command, spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {spec}: beta * energy spread across hamiltonian_a and hamiltonian_b overflows"
+        )
+        assert err.count("\n") == 1
     # the same energies at beta = 1 keep beta * E finite
     spec = _write_spec(tmp_path, hamiltonian_a={"energies": [-1e300, 0.0]})
     assert main(["sample", spec]) == 0

@@ -14,7 +14,7 @@ from jointwork.gtpm import (
     sample_gtpm,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import luders_instrument, noisy_effects
+from jointwork.povm import noisy_effects
 from jointwork.workobs import build_joint_observable
 
 
@@ -26,7 +26,7 @@ def qubit():
 def _setup(d, lam, gam, useed, rng=None):
     h = hamiltonian_from_energies(np.arange(d, dtype=float))
     u = haar_random_unitary(d, useed)
-    inst = luders_instrument(noisy_effects(h, lam))
+    inst = noisy_effects(h, lam)
     b_lab = noisy_effects(h, gam).povm
     return h, u, inst, b_lab
 
@@ -139,14 +139,14 @@ def test_sample_gtpm_seed_stream_pinned():
     # exact count tables per seed: a change here changes every sampled report
     h_a = hamiltonian_from_energies([0.0, 1.0])
     h_b = hamiltonian_from_energies([0.0, 2.0])
-    inst = luders_instrument(noisy_effects(h_a, 0.6))
+    inst = noisy_effects(h_a, 0.6)
     b_lab = noisy_effects(h_b, 0.6).povm
     p = gtpm_distribution(gibbs_state(h_a, 1.0).rho, inst, np.eye(2), b_lab)
     counts = sample_gtpm(p, 50000, 11)
     assert counts.tolist() == [[23860, 8148], [7861, 10131]]
 
     h = hamiltonian_from_energies([0.0, 0.7, 1.9])
-    inst = luders_instrument(noisy_effects(h, 0.7))
+    inst = noisy_effects(h, 0.7)
     b_lab = noisy_effects(h, 0.5).povm
     u = haar_random_unitary(3, 4)
     p = gtpm_distribution(gibbs_state(h, 0.8).rho, inst, u, b_lab)
@@ -185,7 +185,7 @@ def test_sample_gtpm_zero_probability_cells_get_no_counts():
     # an energy eigenstate left alone by u = 1 is never found elsewhere by
     # a sharp second measurement, whatever the noisy first outcome was
     h = hamiltonian_from_energies([0.0, 1.0, 2.5])
-    inst = luders_instrument(noisy_effects(h, 0.6))
+    inst = noisy_effects(h, 0.6)
     sharp = noisy_effects(h, 1.0).povm
     rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
     p = gtpm_distribution(rho, inst, np.eye(3), sharp)
@@ -197,7 +197,7 @@ def test_sample_gtpm_zero_probability_cells_get_no_counts():
     assert np.all(counts[:, 1] > 0)
     # a sharp first measurement never finds the empty levels: two whole
     # rows of the table are zero and are never drawn
-    sharp_first = luders_instrument(noisy_effects(h, 1.0))
+    sharp_first = noisy_effects(h, 1.0)
     p = gtpm_distribution(rho, sharp_first, np.eye(3), noisy_effects(h, 0.5).povm)
     counts = sample_gtpm(p, n, 3)
     assert counts.sum() == n

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from jointwork.errors import (
-    DegenerateSpectrumError,
-    NotHermitianError,
-    NotPsdError,
-    NotUnitaryError,
-)
+from jointwork.errors import DegenerateSpectrumError, NotHermitianError, NotUnitaryError
 from jointwork.operators import (
     SpectralHamiltonian,
     haar_random_unitary,
     hamiltonian_from_energies,
     logsumexp,
-    matrix_sqrt_psd,
     require_hermitian,
     require_unitary,
 )
@@ -51,24 +45,6 @@ def test_require_unitary():
     require_unitary(u)
     with pytest.raises(NotUnitaryError):
         require_unitary(u * 1.001)
-
-
-def test_matrix_sqrt_psd_round_trip(rng):
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = x @ x.conj().T
-    r = matrix_sqrt_psd(m)
-    assert np.allclose(r @ r, m, atol=1e-12)
-    assert np.allclose(r, r.conj().T, atol=0)
-
-
-def test_matrix_sqrt_psd_rejects_negative():
-    with pytest.raises(NotPsdError):
-        matrix_sqrt_psd(np.diag([1.0, -0.5]))
-
-
-def test_matrix_sqrt_psd_clips_tiny_negative():
-    r = matrix_sqrt_psd(np.diag([1.0, -1e-13]))
-    assert np.linalg.eigvalsh(r)[0] >= 0.0
 
 
 def test_hamiltonian_from_energies_plain():

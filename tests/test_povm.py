@@ -3,17 +3,16 @@ import pytest
 
 from jointwork.bloch import kappa
 from jointwork.errors import NonInvertibleInstrumentError, NotPsdError
-from jointwork.operators import haar_random_unitary, hamiltonian_from_energies, matrix_sqrt_psd
+from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
 from jointwork.povm import (
+    Povm,
     check_marginals,
     depolarize,
     heisenberg_povm,
     instrument_channel,
     inverse_instrument_channel,
     luders_apply,
-    luders_instrument,
     noisy_effects,
-    povm_from_effects,
 )
 
 
@@ -24,11 +23,11 @@ def ladder3():
 
 def test_povm_validation():
     with pytest.raises(NotPsdError):
-        povm_from_effects([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])])
+        Povm(effects=np.array([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])], dtype=complex))
     with pytest.raises(ValueError):
-        povm_from_effects([np.diag([0.5, 0.5])])
+        Povm(effects=np.array([np.diag([0.5, 0.5])], dtype=complex))
     with pytest.raises(ValueError):
-        povm_from_effects(np.zeros((2, 2, 3)))
+        Povm(effects=np.zeros((2, 2, 3), dtype=complex))
 
 
 def test_noisy_effects_spectrum(ladder3):
@@ -45,30 +44,23 @@ def test_noisy_effects_spectrum(ladder3):
 
 
 def test_sqrt_effects_closed_form_matches_generic(ladder3):
-    p = noisy_effects(ladder3, 0.37)
-    inst = luders_instrument(p)
-    for a in range(3):
-        want = matrix_sqrt_psd(p.effects[a])
-        assert np.allclose(inst.sqrt_effects[a], want, atol=1e-12)
-        assert np.allclose(
-            inst.sqrt_effects[a] @ inst.sqrt_effects[a], p.effects[a], atol=1e-13
-        )
-
-
-def test_generic_instrument_from_plain_povm(rng):
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    e0 = x @ x.conj().T
-    e0 /= np.linalg.eigvalsh(e0).max() * 1.5
-    p = povm_from_effects(np.stack([e0, np.eye(4) - e0]))
-    inst = luders_instrument(p)
-    assert inst.hamiltonian is None
-    rho = np.eye(4, dtype=complex) / 4.0
-    probs = [np.trace(luders_apply(inst, a, rho)).real for a in range(2)]
-    assert abs(sum(probs) - 1.0) < 1e-12
+    # scipy's general matrix square root is the independent reference (it
+    # warns on the singular sharp effects, whose roots are the projectors);
+    # the closed form must square back to the effects at every visibility
+    sqrtm = pytest.importorskip("scipy.linalg").sqrtm
+    h = hamiltonian_from_energies([0.0, 0.4, 1.1], haar_random_unitary(3, 7))
+    for ham in (ladder3, h):
+        for lam in (0.0, 0.37, 1.0):
+            p = noisy_effects(ham, lam)
+            for a in range(3):
+                root = p.sqrt_effects[a]
+                want = ham.projectors[a] if lam == 1.0 else sqrtm(p.effects[a])
+                assert np.allclose(root, want, atol=1e-12), (lam, a)
+                assert np.allclose(root @ root, p.effects[a], atol=1e-13), (lam, a)
 
 
 def test_luders_apply_born_rule(ladder3, rng):
-    inst = luders_instrument(noisy_effects(ladder3, 0.8))
+    inst = noisy_effects(ladder3, 0.8)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
@@ -85,7 +77,7 @@ def test_instrument_channel_diagonal_structure(rng):
     lam = 0.55
     for d in (3, 2, 4):
         ladder = hamiltonian_from_energies(np.arange(d, dtype=float))
-        inst = luders_instrument(noisy_effects(ladder, lam))
+        inst = noisy_effects(ladder, lam)
         k = kappa(d, lam)
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = x + x.conj().T
@@ -97,7 +89,7 @@ def test_instrument_channel_diagonal_structure(rng):
 def test_inverse_channel_round_trip(rng):
     u = haar_random_unitary(4, 11)
     h = hamiltonian_from_energies([0.0, 0.4, 1.1, 2.0], u)
-    inst = luders_instrument(noisy_effects(h, 0.62))
+    inst = noisy_effects(h, 0.62)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     y = x + x.conj().T
     fwd = instrument_channel(inst, y)
@@ -106,12 +98,11 @@ def test_inverse_channel_round_trip(rng):
 
 
 def test_inverse_channel_guards(ladder3):
-    inst = luders_instrument(noisy_effects(ladder3, 1.0))
+    inst = noisy_effects(ladder3, 1.0)
     with pytest.raises(NonInvertibleInstrumentError):
         inverse_instrument_channel(inst, np.eye(3, dtype=complex))
-    generic = luders_instrument(povm_from_effects(noisy_effects(ladder3, 0.5).effects.copy()))
     with pytest.raises(ValueError):
-        inverse_instrument_channel(generic, np.eye(3, dtype=complex))
+        inverse_instrument_channel(noisy_effects(ladder3, 0.5), np.eye(2, dtype=complex))
 
 
 def test_depolarize_is_the_linear_extension(rng):
