@@ -60,6 +60,7 @@ from .povm import (
     inverse_instrument_channel,
     luders_apply,
     noisy_effects,
+    noisy_povm,
 )
 from .workobs import (
     EnergyAssignment,

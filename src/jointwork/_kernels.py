@@ -2,9 +2,24 @@
 
 The loop alternates between the product of PSD cones (eigenvalue clipping
 per block) and the affine set of grids with the given row sums, column sums
-and per-block diagonals. Status codes: 0 converged (gap <= tol), 1 stalled
-(no relative improvement over `stall_window` iterations with gap >
-stall_scale*tol), 2 iteration budget exhausted.
+and per-block diagonals. Status codes:
+
+    0  converged: gap <= tol
+    1  stalled: no relative improvement over `stall_window` iterations
+       with gap > stall_scale*tol
+    2  iteration budget exhausted
+    3  infeasible, with Farkas multipliers that passed the checks of
+       `farkas_certificate`
+
+Code 3 rests on a certificate; code 1 is a heuristic. The certificate is
+tried every CERT_EVERY iterations while the gap is on a plateau, that is
+when it did not halve since the previous try, so a solve whose gap keeps
+halving skips it. By Bauschke & Borwein (J. Approx. Theory 79, 1994) the displacement
+y - z of the two projections converges to the minimal displacement
+between the two sets, which is nonzero exactly when they do not meet; the
+multipliers are read off it as in Banjac et al., "Infeasibility detection
+in the alternating direction method of multipliers for convex
+optimization", JOTA 183 (2019).
 
 Each call allocates one set of work buffers in `x0`'s dtype and runs every
 step in place, so an iteration allocates only what `np.linalg.eigh`
@@ -14,10 +29,12 @@ operands in the same order:
     g = x + p;  h = (g + g^H) / 2;  y = V max(w, 0) V^H  with  h = V w V^H
     p = g - y;  g2 = y + q
     z = g2 - row/n - col/m + tot/(m n),  then  diag(z) = diag_target
-    q = g2 - z;  gap = ||y - z||;  x = z
+    q = g2 - z;  r = y - z;  gap = ||r||;  x = z
 
 so every iterate, and the returned (grid, gap, iterations, code), is
-bitwise equal to evaluating that formula with fresh arrays.
+bitwise equal to evaluating that formula with fresh arrays and calling
+`farkas_certificate(r, ...)` on the same iterations. The certificate
+reads `r` and writes nothing the loop reads.
 """
 
 from __future__ import annotations
@@ -30,6 +47,72 @@ import numpy as np
 ACTIVE_BACKEND = "numpy"
 HAVE_NUMBA = False
 
+# iterations between certificate tries while the gap is on a plateau
+CERT_EVERY = 10
+# LAPACK's eigenvalue error bound is p(d)*eps*||M||_2 for a modest p; this
+# takes p(d) = 64*d, which also covers the rounding in forming M
+EIG_ERROR_PER_DIM = 64.0
+
+
+def farkas_certificate(r, a_eff, b_eff, diag_target):
+    """Farkas multipliers read off a displacement r (m,n,d,d), or None.
+
+    The multipliers are Y_a, the off-diagonal part of the mean of r_ab over
+    b; Z_b, the off-diagonal part of the mean over a minus the grand mean;
+    and the real diagonals D_ab of r_ab plus a per-block shift
+    s_ab = max(0, 2*slack - lambda_min(M_ab)), M_ab = Y_a + Z_b + diag(D_ab),
+    with Y and Z made exactly Hermitian. They certify that no grid of PSD
+    blocks K_ab has row sums A_a, column sums B_b and diag(K_ab) = t_ab
+    (A_a and B_b read as their Hermitian parts) when
+
+        every shifted block has lambda_min >= slack by np.linalg.eigvalsh,
+        where slack = EIG_ERROR_PER_DIM*d*eps*S and S, the sum of the
+        absolute entries of Y, Z and D, bounds every ||M_ab||_2; and
+        value = sum Re Tr[Y_a A_a] + sum Re Tr[Z_b B_b] + sum D_ab.t_ab
+        < -margin, margin = 2*(N + 4)*eps*(the same sum of absolute
+        products), which bounds the rounding of its N terms and their sum.
+
+    For such a grid, sum_ab Tr[K_ab M_ab] equals value and is >= 0. Returns
+    (Y, Z, D, value) when both checks pass; reads r and writes nothing the
+    caller holds.
+    """
+    m, n, d = r.shape[0], r.shape[1], r.shape[2]
+    eps = np.finfo(r.dtype).eps
+    ya = np.add.reduce(r, axis=1) / n
+    zb = np.add.reduce(r, axis=0) / m - np.add.reduce(ya, axis=0) / m
+    ya = 0.5 * (ya + ya.conj().swapaxes(-1, -2))
+    zb = 0.5 * (zb + zb.conj().swapaxes(-1, -2))
+    ya.reshape(m, d * d)[:, ::d + 1] = 0.0
+    zb.reshape(n, d * d)[:, ::d + 1] = 0.0
+    dd = r.reshape(m, n, d * d)[:, :, ::d + 1].real.copy()
+    # for a Hermitian Y, Tr[Y A] = sum_ij conj(Y_ij) A_ij, and its real
+    # part is Tr[Y (A + A^H)/2]
+    fixed = np.vdot(ya, a_eff).real + np.vdot(zb, b_eff).real
+    # lambda_min(M_ab) <= min_k D_ab,k bounds the shift from below, and
+    # t_ab >= 0, so most failures show before any eigenvalue is computed
+    least = np.maximum(0.0, -dd.min(axis=2))
+    if fixed + np.vdot(dd, diag_target) + np.vdot(least, diag_target.sum(axis=2)) >= 0.0:
+        return None
+    abs_y, abs_z = np.abs(ya), np.abs(zb)
+    norms = abs_y.sum() + abs_z.sum()
+    mm = ya[:, None] + zb[None, :]
+    diag = mm.reshape(m, n, d * d)[:, :, ::d + 1]
+    diag[...] = dd
+    slack = EIG_ERROR_PER_DIM * d * eps * (norms + np.abs(dd).sum())
+    dd += np.maximum(0.0, 2.0 * slack - np.linalg.eigvalsh(mm)[:, :, 0])[:, :, None]
+    value = float(fixed + np.vdot(dd, diag_target))
+    abs_d = np.abs(dd)
+    absolute = (np.vdot(abs_y, np.abs(a_eff)) + np.vdot(abs_z, np.abs(b_eff))
+                + np.vdot(abs_d, np.abs(diag_target)))
+    n_terms = (m + n) * d * d + m * n * d
+    if not value < -2.0 * (n_terms + 4) * eps * absolute:
+        return None
+    diag[...] = dd
+    slack = EIG_ERROR_PER_DIM * d * eps * (norms + abs_d.sum())
+    if not np.linalg.eigvalsh(mm)[:, :, 0].min() >= slack:
+        return None
+    return ya, zb, dd, value
+
 
 def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
             stall_scale):
@@ -39,7 +122,8 @@ def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
     grid; diag_target (m,n,d) pins the per-block diagonals, so the returned
     grid's diagonals equal it exactly. Needs max_iter >= 1. Returns (grid,
     gap, iterations, code), with gap the distance between the last PSD
-    iterate and the last affine one. `x0` is not modified.
+    iterate and the last affine one and code as in the module docstring.
+    `x0` is not modified.
     """
     m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
     x = np.array(x0, order="C")
@@ -59,6 +143,7 @@ def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
     r_re, r_im = r.reshape(-1).real, r.reshape(-1).imag
     best = np.inf
     since = 0
+    tried = np.inf  # the gap at the last certificate check
     code = 2
     for it in range(max_iter):
         np.add(x, p, out=g)
@@ -90,6 +175,11 @@ def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
         if gap <= tol:
             code = 0
             break
+        if (it + 1) % CERT_EVERY == 0:
+            if gap > 0.5 * tried and farkas_certificate(r, a_eff, b_eff, diag_target):
+                code = 3
+                break
+            tried = gap
         if gap < best * (1.0 - 1e-3):
             best = gap
             since = 0

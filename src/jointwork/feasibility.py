@@ -5,12 +5,21 @@ column sums B^U_b and diagonal statistics Tr[K_ab P_k] pinned to those of
 the square-root construction. Solved by alternating projections with
 Dykstra corrections between the affine constraint set (closed form,
 entrywise, diagonals pinned) and the product of PSD cones (eigenvalue
-clipping). A converged gap whose grid passes the exact marginal check is
-FEASIBLE_ZERO_OBJECTIVE. INFEASIBLE means that no grid with these
-marginals and these diagonal statistics was found: the projections
-stalled, or converged on a grid whose marginals fail the check. It is a
-stall verdict, not a checked certificate. The result carries the final gap
-and the iteration count.
+clipping). The verdicts:
+
+- FEASIBLE_ZERO_OBJECTIVE: the gap converged and the grid passes the exact
+  marginal check, residual <= STALL_SCALE*tol. Certified.
+- INFEASIBLE, certified: Farkas multipliers Y_a, Z_b, D_ab, read off the
+  displacement between the two projections, passed an eigenvalue check
+  (every Y_a + Z_b + diag(D_ab) is PSD) and give
+  sum Tr[Y_a A_a] + sum Tr[Z_b B_b] + sum D_ab.t_ab < 0, which no grid
+  can satisfy (`_kernels.farkas_certificate`).
+- INFEASIBLE, not certified: the projections stalled, or converged on a
+  grid whose marginals fail the check. A heuristic verdict.
+- MAX_ITERATIONS: the budget ran out first. Not certified.
+
+The result carries the final gap, the iteration count and whether its
+verdict is certified.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
-from .povm import Povm, check_marginals, heisenberg_povm, noisy_effects
+from .povm import Povm, check_marginals, heisenberg_povm, noisy_effects, noisy_povm
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -71,12 +80,24 @@ def joint_feasibility_problem(
     Visibilities may be 1 here (sharp limit): the search itself never needs
     the inverse channel, so the projective no-go case is expressible.
     """
+    return _problem_poser(h_a, h_b, lam, gamma)(u)
+
+
+def _problem_poser(h_a, h_b, lam, gamma):
+    """joint_feasibility_problem with the unitary left open: what does not
+    depend on it is built once, and each unitary costs one conjugation and
+    the targets."""
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
     a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
-    b_heis = heisenberg_povm(noisy_effects(h_b, gamma).povm, u @ h_a.basis)
-    targets = np.einsum("aij,bjk,akl->abil", a.sqrt_effects, b_heis.effects, a.sqrt_effects)
-    return FeasibilityProblem(a=a.povm, b=b_heis, targets=targets)
+    b_lab = noisy_povm(h_b, gamma)
+
+    def pose(u) -> FeasibilityProblem:
+        b_heis = heisenberg_povm(b_lab, u @ h_a.basis)
+        targets = np.einsum("aij,bjk,akl->abil", a.sqrt_effects, b_heis.effects, a.sqrt_effects)
+        return FeasibilityProblem(a=a.povm, b=b_heis, targets=targets)
+
+    return pose
 
 
 @dataclass(frozen=True)
@@ -87,6 +108,7 @@ class FeasibilityResult:
     min_eigenvalue: float
     iterations: int
     gap: float
+    certified: bool  # the verdict rests on a checked certificate
 
     def __post_init__(self):
         self.grid.setflags(write=False)
@@ -96,7 +118,9 @@ def solve_joint_feasibility(
     problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
 ) -> FeasibilityResult:
     """Project with the diagonal statistics pinned, in the problem's frame;
-    never raises on non-convergence, the status field carries the verdict.
+    never raises on non-convergence: the status field carries the verdict,
+    and `certified` whether it rests on a checked certificate (see the
+    module docstring). Kernel code 3, a Farkas certificate, is INFEASIBLE.
 
     The iteration starts at the target grid itself, which already satisfies
     the A-marginal and the diagonal statistics, leaving only the B-marginal
@@ -114,15 +138,17 @@ def solve_joint_feasibility(
         STALL_WINDOW, STALL_SCALE,
     )
     residual = check_marginals(grid, problem.a, problem.b)
+    feasible = code == 0 and residual <= STALL_SCALE * tol
     if code == 2:
         status = FeasibilityStatus.MAX_ITERATIONS
-    elif code == 0 and residual <= STALL_SCALE * tol:
+    elif feasible:
         status = FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
     else:
-        # pinning the diagonal and matching the marginals are applied as one
-        # composed step, which is a genuine projection only when the pinned
-        # statistics are consistent with the marginals; a converged gap with
-        # broken marginals means that consistency failed
+        # code 3 carries a Farkas certificate and code 1 is a stall. Pinning
+        # the diagonal and matching the marginals are applied as one composed
+        # step, which is a genuine projection only when the pinned statistics
+        # are consistent with the marginals; a converged gap with broken
+        # marginals means that consistency failed
         status = FeasibilityStatus.INFEASIBLE
     sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
     min_eig = float(np.min(np.linalg.eigvalsh(sym)))
@@ -133,6 +159,7 @@ def solve_joint_feasibility(
         min_eigenvalue=min_eig,
         iterations=iters,
         gap=float(gap),
+        certified=feasible or code == 3,
     )
 
 
@@ -150,11 +177,12 @@ def estimate_critical_visibility(
     A visibility passes when the solver finds a grid with both marginals and
     the pinned diagonal statistics (FEASIBLE_ZERO_OBJECTIVE) for every
     sampled unitary; the returned value is the largest passing visibility at
-    the requested resolution. A probe that exhausts its iteration budget
-    counts as failing (certification, not proof), and a probe stops at its
-    first failing unitary. The unitaries are tried fail-first: the one that
-    failed last moves to the front, so a failing probe usually stops at its
-    first solve; the verdicts do not depend on the order. Appends
+    the requested resolution. Any other verdict fails the probe: INFEASIBLE,
+    certified or not, and MAX_ITERATIONS alike (certification, not proof).
+    A probe stops at its first failing unitary. The unitaries are tried
+    fail-first: the one that failed last moves to the front, so a failing
+    probe usually stops at its first solve; the verdicts do not depend on
+    the order. Each probe builds what its problems share once. Appends
     (visibility, passed) pairs to `history` when given.
     """
     if n_unitaries < 1:
@@ -168,15 +196,12 @@ def estimate_critical_visibility(
     seeds = rng.integers(0, 2**63 - 1, size=n_unitaries)
     unitaries = [haar_random_unitary(d, int(s)) for s in seeds]
 
-    def certified(u, lam):
-        pr = joint_feasibility_problem(h, h, u, lam, lam)
-        status = solve_joint_feasibility(pr, tol, max_iter).status
-        return status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
-
     def passes(lam):
+        pose = _problem_poser(h, h, lam, lam)
         ok = True
         for i, u in enumerate(unitaries):
-            if not certified(u, lam):
+            status = solve_joint_feasibility(pose(u), tol, max_iter).status
+            if status is not FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE:
                 unitaries.insert(0, unitaries.pop(i))  # fail-first order
                 ok = False
                 break

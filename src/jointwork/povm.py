@@ -78,6 +78,15 @@ class NoisyEnergyPovm:
         return self.hamiltonian.dim
 
 
+def noisy_povm(h: SpectralHamiltonian, visibility: float) -> Povm:
+    """The effects lam*P_a + (1-lam)/d * 1 of the noisy energy measurement
+    of h at the given visibility in [0, 1], without its square roots."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0,1], got {visibility}")
+    eye = np.eye(h.dim, dtype=np.complex128)
+    return Povm(effects=visibility * h.projectors + (1.0 - visibility) / h.dim * eye)
+
+
 def noisy_effects(h: SpectralHamiltonian, visibility: float) -> NoisyEnergyPovm:
     """The noisy energy measurement of h at the given visibility in [0, 1].
 
@@ -85,17 +94,12 @@ def noisy_effects(h: SpectralHamiltonian, visibility: float) -> NoisyEnergyPovm:
     (1-lam)/d elsewhere, so its square root is the same projector
     combination with rooted weights.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0,1], got {visibility}")
+    povm = noisy_povm(h, visibility)
     d = h.dim
-    eye = np.eye(d, dtype=np.complex128)
-    eff = visibility * h.projectors + (1.0 - visibility) / d * eye
     c1 = np.sqrt(visibility + (1.0 - visibility) / d)
     c0 = np.sqrt((1.0 - visibility) / d)
-    roots = (c1 - c0) * h.projectors + c0 * eye
-    return NoisyEnergyPovm(
-        hamiltonian=h, visibility=visibility, povm=Povm(effects=eff), sqrt_effects=roots
-    )
+    roots = (c1 - c0) * h.projectors + c0 * np.eye(d, dtype=np.complex128)
+    return NoisyEnergyPovm(hamiltonian=h, visibility=visibility, povm=povm, sqrt_effects=roots)
 
 
 def luders_apply(inst: NoisyEnergyPovm, a: int, rho) -> np.ndarray:

@@ -30,6 +30,7 @@ from .povm import (
     inverse_instrument_channel,
     luders_apply,
     noisy_effects,
+    noisy_povm,
 )
 
 POSITIVITY_AUDIT_TOL = -1e-9
@@ -179,8 +180,8 @@ def build_joint_observable(
         raise ValueError(f"Hamiltonian dims differ: {d} vs {h_b.dim}")
     uu = require_unitary(u, name="process unitary")
     inst = noisy_effects(h_a, pair.lam)
-    b_lab = noisy_effects(h_b, pair.gamma)
-    b_heis = heisenberg_povm(b_lab.povm, uu)
+    b_lab = noisy_povm(h_b, pair.gamma)
+    b_heis = heisenberg_povm(b_lab, uu)
     c = np.stack([inverse_instrument_channel(inst, eff) for eff in b_heis.effects])
     w = np.einsum("aij,bjk,akl->abil", inst.sqrt_effects, c, inst.sqrt_effects)
     eigs = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 1, 3, 2)))
@@ -192,7 +193,7 @@ def build_joint_observable(
         effects=w,
         instrument=inst,
         b_povm=b_heis,
-        b_lab=b_lab.povm,
+        b_lab=b_lab,
         min_effect_eigenvalue=float(eigs[:, :, 0].min()),
         min_effect_index=min_idx,
         marginal_deviation=dev,

@@ -289,8 +289,9 @@ def test_criterion_11_projective_no_go(acceptance_log):
     h = hamiltonian_from_energies([0.0, 1.0])
     res = solve_joint_feasibility(joint_feasibility_problem(h, h, HAD, 1.0, 1.0))
     _record(
-        acceptance_log, 11, res.status is FeasibilityStatus.INFEASIBLE,
-        f"sharp qubit pair declared {res.status.value} (gap {res.gap:.3f})",
+        acceptance_log, 11, res.status is FeasibilityStatus.INFEASIBLE and res.certified,
+        f"sharp qubit pair declared {res.status.value}, certified {res.certified} "
+        f"(gap {res.gap:.3f})",
         time.perf_counter() - t0, 10.0,
     )
 

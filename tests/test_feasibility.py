@@ -66,6 +66,8 @@ def test_infeasible_projective_pair():
     res = solve_joint_feasibility(_qubit_problem(1.0))
     assert res.status is FeasibilityStatus.INFEASIBLE
     assert res.gap > 0.1
+    # stopped by a checked Farkas certificate, long before the stall window
+    assert res.certified and res.iterations < 50
 
 
 def test_infeasible_above_the_bound():
@@ -76,9 +78,13 @@ def test_infeasible_above_the_bound():
 
 
 def test_max_iterations_is_reported():
-    res = solve_joint_feasibility(_qubit_problem(1.0), max_iter=50)
+    # near the boundary: certified infeasible only after about 3,600 iterations
+    h = hamiltonian_from_energies([0.0, 1.0, 2.0])
+    prob = joint_feasibility_problem(h, h, haar_random_unitary(3, 0), 0.65, 0.65)
+    res = solve_joint_feasibility(prob, max_iter=50)
     assert res.status is FeasibilityStatus.MAX_ITERATIONS
     assert res.iterations >= 50
+    assert not res.certified
 
 
 def _conflicted_problem():
@@ -91,15 +97,47 @@ def _conflicted_problem():
 
 
 def test_infeasible_without_a_grid_matching_the_pinned_statistics():
-    # the sharp qubit pair stalls in the kernel
+    # the sharp qubit pair is certified in the kernel
     res = solve_joint_feasibility(_qubit_problem(1.0))
     assert res.status is FeasibilityStatus.INFEASIBLE and res.gap > 0.1
-    # the conflicted pin converges in gap, but its marginals fail the check
+    # the conflicted pin converges in gap, but its marginals fail the check:
+    # infeasible, without a certificate
     res = solve_joint_feasibility(_conflicted_problem())
     assert res.status is FeasibilityStatus.INFEASIBLE and res.gap <= 1e-7
     assert res.marginal_residual > STALL_SCALE * 1e-7
+    assert not res.certified
     res = solve_joint_feasibility(_qubit_problem(0.6))
-    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE and res.certified
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _busch(u, lam, gam):
+    # |a + b| + |a - b| for the Bloch vectors of the two unbiased binary
+    # observables: a = lam z for the first, b = gam n for U^dag B U
+    n = np.einsum("kij,jl,lm,mi->k", PAULI, u.conj().T, PAULI[2], u).real / 2.0
+    a, b = lam * np.array([0.0, 0.0, 1.0]), gam * n
+    return np.linalg.norm(a + b) + np.linalg.norm(a - b)
+
+
+def test_qubit_verdicts_agree_with_busch_criterion():
+    # at d = 2 the pinned problem is feasible exactly when the pair is
+    # jointly measurable, |a + b| + |a - b| <= 2 (Busch, PRD 33, 2253, 1986)
+    rng = np.random.default_rng(2024)
+    seen = Counter()
+    for _ in range(120):
+        u = haar_random_unitary(2, int(rng.integers(0, 2**63 - 1)))
+        lam, gam = rng.uniform(0.3, 1.0, size=2)
+        criterion = _busch(u, lam, gam)
+        res = solve_joint_feasibility(_qubit_problem(lam, gam, u), max_iter=1500)
+        if criterion <= 2.0:
+            seen["compatible"] += 1
+            assert not (res.status is FeasibilityStatus.INFEASIBLE and res.certified)
+        elif criterion >= 2.05:
+            seen["incompatible"] += 1
+            assert res.status is FeasibilityStatus.INFEASIBLE and res.certified
+    assert seen["compatible"] >= 20 and seen["incompatible"] >= 20
 
 
 def test_kernel_grid_keeps_the_pinned_diagonals():

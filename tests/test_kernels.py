@@ -9,8 +9,9 @@ HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
 def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
-                       stall_scale):
-    # the loop as the plain formula, with fresh arrays at every step
+                       stall_scale, certificates=None):
+    # the loop as the plain formula, with fresh arrays at every step; a
+    # certificate that stops it is appended to `certificates` when given
     m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
     x = x0.copy()
     p = np.zeros_like(x)
@@ -18,6 +19,7 @@ def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_windo
     didx = np.arange(d)
     best = np.inf
     since = 0
+    tried = np.inf
     code = 2
     for it in range(max_iter):
         g = x + p
@@ -37,6 +39,16 @@ def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_windo
         if gap <= tol:
             code = 0
             break
+        if (it + 1) % _kernels.CERT_EVERY == 0:
+            cert = None
+            if gap > 0.5 * tried:
+                cert = _kernels.farkas_certificate(y - z, a_eff, b_eff, diag_target)
+            if cert is not None:
+                if certificates is not None:
+                    certificates.append(cert)
+                code = 3
+                break
+            tried = gap
         if gap < best * (1.0 - 1e-3):
             best = gap
             since = 0
@@ -70,11 +82,15 @@ CASES = [
     (2, 0.6, haar_random_unitary(2, 3), False, 1500, 0),
     (3, 0.63, haar_random_unitary(3, 1), False, 1500, 0),
     (4, 0.59, haar_random_unitary(4, 2), False, 1500, 0),
-    (2, 1.0, HAD.astype(complex), False, 20000, 1),  # criterion 11's sharp pair
+    (2, 1.0, HAD.astype(complex), False, 20000, 3),  # criterion 11's sharp pair
     (3, 0.7, haar_random_unitary(3, 1), False, 1, 2),
     (4, 0.7, haar_random_unitary(4, 2), False, 7, 2),
-    (2, 1.0, HAD, True, 20000, 1),
+    (2, 1.0, HAD, True, 20000, 3),
     (3, 0.7, ORTH3, True, 1500, 0),
+    (3, 0.75, haar_random_unitary(3, 2), False, 1500, 3),
+    (4, 0.7, haar_random_unitary(4, 2), False, 1500, 3),
+    # near the boundary: a stall that no certificate try ended first
+    (3, 0.6425, haar_random_unitary(3, 2876137494685333844), False, 1500, 1),
 ]
 
 
@@ -97,3 +113,43 @@ def test_dykstra_is_bitwise_the_plain_formula(d, lam, u, real, max_iter, code):
     assert grid.shape == ref_grid.shape
     assert grid.tobytes() == ref_grid.tobytes()
     assert np.array_equal(x0, before)
+
+
+@pytest.mark.parametrize("d, lam, u, real, max_iter, code",
+                         [c for c in CASES if c[-1] == 3])
+def test_certificate_is_a_farkas_proof(d, lam, u, real, max_iter, code):
+    a, b, diag, x0 = _kernel_inputs(d, lam, u, real)
+    certificates = []
+    grid, *_ = _reference_dykstra(a, b, diag, x0, 1e-7, max_iter, STALL_WINDOW,
+                                  STALL_SCALE, certificates)
+    (y, z, dd, value), = certificates
+    m, n = a.shape[0], b.shape[0]
+    for mult in (y, z):
+        assert np.array_equal(mult, mult.conj().swapaxes(-1, -2))
+        assert not np.any(np.diagonal(mult, axis1=1, axis2=2))
+    blocks = np.array([[y[i] + z[j] + np.diag(dd[i, j]) for j in range(n)]
+                       for i in range(m)])
+    # every multiplier block is PSD ...
+    assert np.linalg.eigvalsh(blocks).min() >= 0.0
+    # ... and its pairing with any grid of the affine set is the value, so
+    # a grid of PSD blocks there would make a negative number nonnegative
+    recomputed = (np.einsum("aij,aji->", y, a).real + np.einsum("bij,bji->", z, b).real
+                  + np.sum(dd * diag))
+    assert value < -1e-6
+    assert abs(recomputed - value) <= 1e-12
+    assert abs(np.einsum("abij,abji->", grid, blocks).real - value) <= 1e-9
+
+
+def test_no_certificate_for_a_feasible_problem():
+    # a certificate here would contradict the grid the solver converges to,
+    # whatever displacement it is read from
+    a, b, diag, x0 = _kernel_inputs(3, 0.6, haar_random_unitary(3, 1))
+    *_, code = _kernels.dykstra(a, b, diag, x0, 1e-7, 1500, STALL_WINDOW, STALL_SCALE)
+    assert code == 0
+    assert _kernels.farkas_certificate(np.zeros_like(x0), a, b, diag) is None
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        r = rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape)
+        r = r + r.conj().swapaxes(-1, -2)
+        assert _kernels.farkas_certificate(r, a, b, diag) is None
+        assert _kernels.farkas_certificate(r @ r, a, b, diag) is None

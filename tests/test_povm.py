@@ -13,6 +13,7 @@ from jointwork.povm import (
     inverse_instrument_channel,
     luders_apply,
     noisy_effects,
+    noisy_povm,
 )
 
 
@@ -41,6 +42,10 @@ def test_noisy_effects_spectrum(ladder3):
         assert np.allclose(np.sort(row), [lo, lo, hi], atol=1e-14)
     with pytest.raises(ValueError):
         noisy_effects(ladder3, 1.2)
+    # the effects alone, as the second measurement of a pair uses them
+    assert np.array_equal(noisy_povm(ladder3, lam).effects, p.effects)
+    with pytest.raises(ValueError):
+        noisy_povm(ladder3, -0.1)
 
 
 def test_sqrt_effects_closed_form_matches_generic(ladder3):
