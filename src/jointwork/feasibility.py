@@ -2,13 +2,20 @@
 
 The convex program: find a grid K_ab of PSD blocks with row sums A_a,
 column sums B^U_b and diagonal statistics Tr[K_ab P_k] pinned to those of
-the square-root construction. Solved by alternating projections with
-Dykstra corrections between the affine constraint set (closed form,
-entrywise, diagonals pinned) and the product of PSD cones (eigenvalue
-clipping). The verdicts:
+the square-root construction. The construction's own grid,
+K_ab = A_a^(1/2) Lambda^-1(B_b) A_a^(1/2), meets every affine constraint in
+closed form, so it is tried first (`square_root_certificate`); only when
+its checks fail is the program solved, by alternating projections with
+Dykstra corrections between the affine constraint set (closed form, entrywise,
+diagonals pinned) and the product of PSD cones (eigenvalue clipping). The
+verdicts:
 
-- FEASIBLE_ZERO_OBJECTIVE: the gap converged and the grid passes the exact
-  marginal check, residual <= STALL_SCALE*tol. Certified.
+- FEASIBLE_ZERO_OBJECTIVE after zero iterations: the square-root grid has
+  every block's least eigenvalue above an eigvalsh error bound and passes
+  the exact marginal check, residual <= STALL_SCALE*tol. Certified by a
+  PSD grid.
+- FEASIBLE_ZERO_OBJECTIVE from the projections: the gap converged and the
+  grid passes the same marginal check. Certified on the residual.
 - INFEASIBLE, certified: Farkas multipliers Y_a, Z_b, D_ab, read off the
   displacement between the two projections, passed an eigenvalue check
   (every Y_a + Z_b + diag(D_ab) is PSD) and give
@@ -114,13 +121,64 @@ class FeasibilityResult:
         self.grid.setflags(write=False)
 
 
+def square_root_certificate(
+    problem: FeasibilityProblem, tol: float = 1e-7
+) -> Optional[FeasibilityResult]:
+    """The square-root grid K_ab = A_a^(1/2) Lambda^-1(B_b) A_a^(1/2) as a
+    checked feasibility certificate, or None.
+
+    With every A_a diagonal, the channel Lambda(X) = sum_a A_a^(1/2) X
+    A_a^(1/2) keeps the diagonal and scales entry (i, j) by
+    kappa_ij = sum_a sqrt(A_a,ii A_a,jj). So the grid is `targets` with each
+    off-diagonal entry divided by kappa_ij: its diagonals are the targets'
+    own, and its row and column sums are A_a and B_b up to rounding.
+    Returns FEASIBLE_ZERO_OBJECTIVE, certified, after zero iterations, when
+    every block's eigvalsh minimum is at least EIG_ERROR_PER_DIM*d*eps times
+    the sum of its absolute entries (`_kernels.farkas_certificate`'s bound)
+    and the exact marginal residual is <= STALL_SCALE*tol. Returns None when
+    an A_a is not a nonnegative diagonal, when some kappa_ij <= 0 (the sharp
+    limit lam = 1), or when either check fails.
+    """
+    a_eff = problem.a.effects
+    d = problem.a.dim
+    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
+    if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
+        return None
+    kap = np.sqrt(diag[:, :, None] * diag[:, None, :]).sum(axis=0)
+    np.fill_diagonal(kap, 1.0)  # dividing by 1.0 keeps the diagonals' bits
+    if not np.all(kap > 0.0):
+        return None
+    grid = problem.targets / kap
+    sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
+    least = np.linalg.eigvalsh(sym)[:, :, 0]
+    eps = np.finfo(least.dtype).eps
+    slack = _kernels.EIG_ERROR_PER_DIM * d * eps * np.abs(grid).sum(axis=(2, 3))
+    if not np.all(least >= slack):
+        return None
+    residual = check_marginals(grid, problem.a, problem.b)
+    if not residual <= STALL_SCALE * tol:
+        return None
+    return FeasibilityResult(
+        status=FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE,
+        grid=grid,
+        marginal_residual=residual,
+        min_eigenvalue=float(least.min()),
+        iterations=0,
+        gap=0.0,
+        certified=True,
+    )
+
+
 def solve_joint_feasibility(
     problem: FeasibilityProblem, tol: float = 1e-7, max_iter: int = 20000
 ) -> FeasibilityResult:
-    """Project with the diagonal statistics pinned, in the problem's frame;
-    never raises on non-convergence: the status field carries the verdict,
-    and `certified` whether it rests on a checked certificate (see the
-    module docstring). Kernel code 3, a Farkas certificate, is INFEASIBLE.
+    """Try the square-root grid first, then project with the diagonal
+    statistics pinned, in the problem's frame; never raises on
+    non-convergence: the status field carries the verdict, and `certified`
+    whether it rests on a checked certificate (see the module docstring).
+    A square-root grid that passes `square_root_certificate` is returned as
+    it is, FEASIBLE_ZERO_OBJECTIVE after zero iterations; otherwise kernel
+    code 3, a Farkas certificate, is INFEASIBLE.
 
     The iteration starts at the target grid itself, which already satisfies
     the A-marginal and the diagonal statistics, leaving only the B-marginal
@@ -131,6 +189,9 @@ def solve_joint_feasibility(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    certificate = square_root_certificate(problem, tol)
+    if certificate is not None:
+        return certificate
     t = problem.targets
     tdiag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
     grid, gap, iters, code = _kernels.dykstra(

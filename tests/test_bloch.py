@@ -30,6 +30,12 @@ def test_gamma_bound_values():
         assert abs(gamma_bound(2, lam) - kappa(2, lam)) < 1e-15
 
 
+def test_qubit_gamma_bound_is_the_busch_closed_form():
+    # unbiased qubit pair: jointly measurable iff lam^2 + gamma^2 <= 1
+    for lam in np.linspace(0.0, 1.0, 201):
+        assert abs(gamma_bound(2, lam) - np.sqrt(1.0 - lam * lam)) <= 1e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 8), st.floats(0.001, 0.999))
 def test_kappa_and_bound_stay_in_unit_interval(d, lam):

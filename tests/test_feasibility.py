@@ -1,9 +1,10 @@
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from jointwork import _kernels
+from jointwork import _kernels, feasibility
 from jointwork.bloch import symmetric_critical_visibility
 from jointwork.feasibility import (
     STALL_SCALE,
@@ -13,8 +14,10 @@ from jointwork.feasibility import (
     estimate_critical_visibility,
     joint_feasibility_problem,
     solve_joint_feasibility,
+    square_root_certificate,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
+from jointwork.povm import Povm, check_marginals
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -108,6 +111,76 @@ def test_infeasible_without_a_grid_matching_the_pinned_statistics():
     assert not res.certified
     res = solve_joint_feasibility(_qubit_problem(0.6))
     assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE and res.certified
+    # the conflicted pin's square-root grid is refused by its marginal check
+    assert square_root_certificate(_conflicted_problem()) is None
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_square_root_grid_certifies_a_feasible_problem(d):
+    tol = 1e-7
+    if d == 2:
+        prob = _qubit_problem(0.6)
+    else:
+        h = hamiltonian_from_energies([0.0, 1.0, 2.0])
+        lam = symmetric_critical_visibility(3) - 0.03
+        prob = joint_feasibility_problem(h, h, haar_random_unitary(3, 7), lam, lam)
+    res = square_root_certificate(prob, tol)
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE and res.certified
+    assert res.iterations == 0 and res.gap == 0.0
+    assert np.array_equal(
+        np.diagonal(res.grid, axis1=2, axis2=3), np.diagonal(prob.targets, axis1=2, axis2=3)
+    )
+    assert res.marginal_residual == check_marginals(res.grid, prob.a, prob.b)
+    assert res.marginal_residual <= STALL_SCALE * tol
+    hermitian = 0.5 * (res.grid + res.grid.conj().transpose(0, 1, 3, 2))
+    assert np.linalg.eigvalsh(hermitian).min() == res.min_eigenvalue > 0.0
+    # the solver returns it without running the projections
+    solved = solve_joint_feasibility(prob, tol)
+    assert solved.iterations == 0 and np.array_equal(solved.grid, res.grid)
+
+
+def test_square_root_grid_is_refused_at_the_sharp_pair_and_outside_the_bound():
+    with warnings.catch_warnings():
+        # kappa_ij = 0 at lam = 1 is caught before it divides anything
+        warnings.simplefilter("error", RuntimeWarning)
+        assert square_root_certificate(_qubit_problem(1.0)) is None
+    # criterion 4's pair: lam = gamma = 0.75 around the Hadamard
+    prob = _qubit_problem(0.75)
+    assert square_root_certificate(prob) is None
+    res = solve_joint_feasibility(prob)
+    assert res.status is FeasibilityStatus.INFEASIBLE and res.certified
+    assert res.iterations > 0
+    # a sharp second measurement around U = 1 gives diagonal blocks with a
+    # zero eigenvalue, which does not clear the error bound: PSD, but left
+    # to the projections
+    singular = _qubit_problem(0.6, 1.0, np.eye(2, dtype=complex))
+    assert square_root_certificate(singular) is None
+    res = solve_joint_feasibility(singular)
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+    assert res.iterations > 0
+
+
+def test_square_root_grid_needs_a_nonnegative_diagonal_first_measurement():
+    # a feasible qubit problem and its square-root grid, turned by the
+    # Hadamard: the turned grid is feasible for the turned problem, but A_a
+    # is no longer diagonal, so only the projections can decide it
+    prob = _qubit_problem(0.6)
+    turned = FeasibilityProblem(
+        a=Povm(effects=HAD @ prob.a.effects @ HAD),
+        b=Povm(effects=HAD @ prob.b.effects @ HAD),
+        targets=HAD @ square_root_certificate(prob).grid @ HAD,
+    )
+    assert square_root_certificate(turned) is None
+    res = solve_joint_feasibility(turned)
+    assert res.status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+    assert res.iterations > 0
+    # a diagonal entry below zero, within the POVM check's floor, has no
+    # real square root
+    effects = np.array([np.diag([1.0, -1e-12]), np.diag([0.0, 1.0 + 1e-12])], dtype=complex)
+    negative = FeasibilityProblem(a=Povm(effects=effects), b=prob.b, targets=prob.targets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert square_root_certificate(negative) is None
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -121,16 +194,21 @@ def _busch(u, lam, gam):
     return np.linalg.norm(a + b) + np.linalg.norm(a - b)
 
 
-def test_qubit_verdicts_agree_with_busch_criterion():
-    # at d = 2 the pinned problem is feasible exactly when the pair is
-    # jointly measurable, |a + b| + |a - b| <= 2 (Busch, PRD 33, 2253, 1986)
+def _busch_draws():
+    # 120 qubit pairs: (Busch criterion, problem)
     rng = np.random.default_rng(2024)
-    seen = Counter()
     for _ in range(120):
         u = haar_random_unitary(2, int(rng.integers(0, 2**63 - 1)))
         lam, gam = rng.uniform(0.3, 1.0, size=2)
-        criterion = _busch(u, lam, gam)
-        res = solve_joint_feasibility(_qubit_problem(lam, gam, u), max_iter=1500)
+        yield _busch(u, lam, gam), _qubit_problem(lam, gam, u)
+
+
+def test_qubit_verdicts_agree_with_busch_criterion():
+    # at d = 2 the pinned problem is feasible exactly when the pair is
+    # jointly measurable, |a + b| + |a - b| <= 2 (Busch, PRD 33, 2253, 1986)
+    seen = Counter()
+    for criterion, prob in _busch_draws():
+        res = solve_joint_feasibility(prob, max_iter=1500)
         if criterion <= 2.0:
             seen["compatible"] += 1
             assert not (res.status is FeasibilityStatus.INFEASIBLE and res.certified)
@@ -138,6 +216,27 @@ def test_qubit_verdicts_agree_with_busch_criterion():
             seen["incompatible"] += 1
             assert res.status is FeasibilityStatus.INFEASIBLE and res.certified
     assert seen["compatible"] >= 20 and seen["incompatible"] >= 20
+
+
+def test_qubit_square_root_verdicts_agree_with_busch_and_the_kernel():
+    # at d = 2 the pinned problem is feasible exactly when the square-root
+    # grid is PSD; the projections, run on their own, reach the same verdict
+    seen = Counter()
+    for criterion, prob in _busch_draws():
+        psd_grid = square_root_certificate(prob) is not None
+        if criterion <= 2.0:
+            assert psd_grid
+        elif criterion >= 2.05:
+            assert not psd_grid
+        t = prob.targets
+        tdiag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
+        *_, code = _kernels.dykstra(
+            prob.a.effects, prob.b.effects, tdiag, t, 1e-7, 1500,
+            STALL_WINDOW, STALL_SCALE,
+        )
+        assert code == (0 if psd_grid else 3)
+        seen[psd_grid] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
 
 
 def test_kernel_grid_keeps_the_pinned_diagonals():
@@ -255,14 +354,19 @@ PINNED_ESTIMATES = {
 def test_estimate_is_pinned_and_fail_first_saves_solves(d, seed, monkeypatch):
     estimate, pinned_history, index_order_solves = PINNED_ESTIMATES[(d, seed)]
     history = []
-    solves = Counter()
-    kernel = _kernels.dykstra
+    solves, kernel_calls = Counter(), Counter()
+    solve, kernel = feasibility.solve_joint_feasibility, _kernels.dykstra
 
-    def counted(*args):
+    def counted_solve(*args):
         solves[len(history)] += 1
+        return solve(*args)
+
+    def counted_kernel(*args):
+        kernel_calls[len(history)] += 1
         return kernel(*args)
 
-    monkeypatch.setattr(_kernels, "dykstra", counted)
+    monkeypatch.setattr(feasibility, "solve_joint_feasibility", counted_solve)
+    monkeypatch.setattr(_kernels, "dykstra", counted_kernel)
     assert estimate_critical_visibility(
         d, 20, seed=seed, max_iter=1500, history=history
     ) == estimate
@@ -273,6 +377,11 @@ def test_estimate_is_pinned_and_fail_first_saves_solves(d, seed, monkeypatch):
     # a probe that fails at the unitary which failed the probe before it
     # stops after one solve
     assert sum(per_probe) < sum(index_order_solves)
+    # square-root grids certify every passing solve, so the projections run
+    # once per failing probe, on the unitary that fails it
+    assert [kernel_calls[i] for i in range(len(history))] == [
+        0 if ok else 1 for _, ok in history
+    ]
 
 
 def test_estimate_stops_at_float_resolution():
