@@ -27,6 +27,13 @@ verdicts:
 
 The result carries the final gap, the iteration count and whether its
 verdict is certified.
+
+The visibility estimator poses each bisection probe's unitaries as one
+stack: one einsum for the conjugated second measurements, one for the
+targets, and one square-root check over every grid, each array about
+n_unitaries*m*n*d^2*16 bytes. A probe whose grids all pass runs no solve;
+otherwise the unitaries whose grid failed are solved, most negative least
+grid eigenvalue first, until the first non-feasible verdict.
 """
 
 from __future__ import annotations
@@ -38,8 +45,13 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
-from .povm import Povm, check_marginals, heisenberg_povm, noisy_effects, noisy_povm
+from .operators import (
+    SpectralHamiltonian,
+    haar_random_unitary,
+    hamiltonian_from_energies,
+    require_unitary,
+)
+from .povm import Povm, check_effects, check_marginals, noisy_effects, noisy_povm
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -70,9 +82,14 @@ class FeasibilityProblem:
         m, n, d = self.a.outcomes, self.b.outcomes, self.a.dim
         if t.shape != (m, n, d, d):
             raise ValueError(f"targets shape {t.shape} != ({m}, {n}, {d}, {d})")
-        if np.max(np.abs(t - t.conj().transpose(0, 1, 3, 2))) > 1e-10:
-            raise ValueError("targets must be Hermitian blocks")
+        _check_hermitian_blocks(t)
         t.setflags(write=False)
+
+
+def _check_hermitian_blocks(targets: np.ndarray) -> None:
+    """FeasibilityProblem's Hermiticity check, over any leading axes."""
+    if np.max(np.abs(targets - targets.conj().swapaxes(-1, -2))) > 1e-10:
+        raise ValueError("targets must be Hermitian blocks")
 
 
 def joint_feasibility_problem(
@@ -87,22 +104,33 @@ def joint_feasibility_problem(
     Visibilities may be 1 here (sharp limit): the search itself never needs
     the inverse channel, so the projective no-go case is expressible.
     """
-    return _problem_poser(h_a, h_b, lam, gamma)(u)
+    a, b, targets = _problem_poser(h_a, h_b, lam, gamma)(np.asarray(u)[None])
+    return FeasibilityProblem(a=a, b=Povm(effects=b[0]), targets=targets[0])
 
 
 def _problem_poser(h_a, h_b, lam, gamma):
-    """joint_feasibility_problem with the unitary left open: what does not
-    depend on it is built once, and each unitary costs one conjugation and
-    the targets."""
+    """joint_feasibility_problem over a stack of unitaries (k, d, d): what
+    does not depend on them is built once, and `pose(us)` returns the shared
+    first measurement A, the conjugated second measurements (k, n, d, d) and
+    the targets (k, m, n, d, d), each one einsum over the stack. The checks
+    of the per-unitary path (unitarity, Povm's, the targets' Hermiticity)
+    run once on the whole stack, with the same tolerances."""
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
     a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
     b_lab = noisy_povm(h_b, gamma)
 
-    def pose(u) -> FeasibilityProblem:
-        b_heis = heisenberg_povm(b_lab, u @ h_a.basis)
-        targets = np.einsum("aij,bjk,akl->abil", a.sqrt_effects, b_heis.effects, a.sqrt_effects)
-        return FeasibilityProblem(a=a.povm, b=b_heis, targets=targets)
+    def pose(us):
+        frames = require_unitary(np.asarray(us) @ h_a.basis, name="process unitary", stacked=True)
+        if frames.shape[-1] != b_lab.dim:
+            raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
+        b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
+        check_effects(b)
+        targets = np.einsum("aij,nbjk,akl->nabil", a.sqrt_effects, b, a.sqrt_effects)
+        _check_hermitian_blocks(targets)
+        b.setflags(write=False)
+        targets.setflags(write=False)
+        return a.povm, b, targets
 
     return pose
 
@@ -119,6 +147,39 @@ class FeasibilityResult:
 
     def __post_init__(self):
         self.grid.setflags(write=False)
+
+
+def _square_root_grids(a_eff, b_eff, targets, tol):
+    """The square-root grids of problems that share their first measurement
+    A (m, d, d), and their checks, over the leading axes of b_eff
+    (..., n, d, d) and targets (..., m, n, d, d).
+
+    Returns None when an A_a is not a nonnegative diagonal or some
+    kappa_ij <= 0 (see `square_root_certificate`); otherwise (grid, least,
+    residual, passed): the grids (..., m, n, d, d), and per problem the
+    least block eigenvalue, the exact marginal residual and whether both
+    checks hold.
+    """
+    d = a_eff.shape[-1]
+    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
+    if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
+        return None
+    kap = np.sqrt(diag[:, :, None] * diag[:, None, :]).sum(axis=0)
+    np.fill_diagonal(kap, 1.0)  # dividing by 1.0 keeps the diagonals' bits
+    if not np.all(kap > 0.0):
+        return None
+    grid = targets / kap
+    sym = 0.5 * (grid + grid.conj().swapaxes(-1, -2))
+    least = np.linalg.eigvalsh(sym)[..., 0]
+    eps = np.finfo(least.dtype).eps
+    blocks = (-2, -1)
+    slack = _kernels.EIG_ERROR_PER_DIM * d * eps * np.abs(grid).sum(axis=blocks)
+    residual = np.maximum(
+        np.abs(grid.sum(axis=-3) - a_eff).max(axis=(-3, -2, -1)),
+        np.abs(grid.sum(axis=-4) - b_eff).max(axis=(-3, -2, -1)),
+    )
+    passed = np.all(least >= slack, axis=blocks) & (residual <= STALL_SCALE * tol)
+    return grid, least.min(axis=blocks), residual, passed
 
 
 def square_root_certificate(
@@ -139,34 +200,26 @@ def square_root_certificate(
     an A_a is not a nonnegative diagonal, when some kappa_ij <= 0 (the sharp
     limit lam = 1), or when either check fails.
     """
-    a_eff = problem.a.effects
-    d = problem.a.dim
-    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
-    if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
+    checked = _square_root_grids(problem.a.effects, problem.b.effects, problem.targets, tol)
+    if checked is None or not checked[3]:
         return None
-    kap = np.sqrt(diag[:, :, None] * diag[:, None, :]).sum(axis=0)
-    np.fill_diagonal(kap, 1.0)  # dividing by 1.0 keeps the diagonals' bits
-    if not np.all(kap > 0.0):
-        return None
-    grid = problem.targets / kap
-    sym = 0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))
-    least = np.linalg.eigvalsh(sym)[:, :, 0]
-    eps = np.finfo(least.dtype).eps
-    slack = _kernels.EIG_ERROR_PER_DIM * d * eps * np.abs(grid).sum(axis=(2, 3))
-    if not np.all(least >= slack):
-        return None
-    residual = check_marginals(grid, problem.a, problem.b)
-    if not residual <= STALL_SCALE * tol:
-        return None
+    grid, least, residual, _ = checked
     return FeasibilityResult(
         status=FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE,
         grid=grid,
-        marginal_residual=residual,
-        min_eigenvalue=float(least.min()),
+        marginal_residual=float(residual),
+        min_eigenvalue=float(least),
         iterations=0,
         gap=0.0,
         certified=True,
     )
+
+
+def _check_solver_args(tol, max_iter):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def solve_joint_feasibility(
@@ -185,10 +238,7 @@ def solve_joint_feasibility(
     and positivity to reconcile. Raises ValueError unless tol > 0 and
     max_iter >= 1.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_solver_args(tol, max_iter)
     certificate = square_root_certificate(problem, tol)
     if certificate is not None:
         return certificate
@@ -240,11 +290,17 @@ def estimate_critical_visibility(
     sampled unitary; the returned value is the largest passing visibility at
     the requested resolution. Any other verdict fails the probe: INFEASIBLE,
     certified or not, and MAX_ITERATIONS alike (certification, not proof).
-    A probe stops at its first failing unitary. The unitaries are tried
-    fail-first: the one that failed last moves to the front, so a failing
-    probe usually stops at its first solve; the verdicts do not depend on
-    the order. Each probe builds what its problems share once. Appends
-    (visibility, passed) pairs to `history` when given.
+
+    Each probe poses all its unitaries as one stack and checks every
+    square-root grid at once (`square_root_certificate`'s checks); a probe
+    whose grids all pass builds no problem and runs no solve. Otherwise
+    `solve_joint_feasibility` runs on the unitaries whose grid failed, most
+    negative least grid eigenvalue first (a stable sort, so ties keep index
+    order), and the probe stops at its first non-feasible verdict. Each
+    solve is deterministic in its inputs, so the verdicts do not depend on
+    the order. The stack's arrays (second measurements, targets, grids)
+    take up to n_unitaries*m*n*d^2*16 = n_unitaries*d^4*16 bytes each.
+    Appends (visibility, passed) pairs to `history` when given.
     """
     if n_unitaries < 1:
         raise ValueError(f"need at least one unitary, got {n_unitaries}")
@@ -252,20 +308,30 @@ def estimate_critical_visibility(
         raise ValueError(f"dimension must be >= 2, got {d}")
     if not 0.0 < resolution < np.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    # a probe whose grids all pass runs no solve, so check the solver's own
+    # arguments here
+    _check_solver_args(tol, max_iter)
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_unitaries)
-    unitaries = [haar_random_unitary(d, int(s)) for s in seeds]
+    unitaries = np.stack([haar_random_unitary(d, int(s)) for s in seeds])
 
     def passes(lam):
-        pose = _problem_poser(h, h, lam, lam)
-        ok = True
-        for i, u in enumerate(unitaries):
-            status = solve_joint_feasibility(pose(u), tol, max_iter).status
-            if status is not FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE:
-                unitaries.insert(0, unitaries.pop(i))  # fail-first order
-                ok = False
-                break
+        a, b, targets = _problem_poser(h, h, lam, lam)(unitaries)
+        checked = _square_root_grids(a.effects, b, targets, tol)
+        if checked is None:
+            order = range(n_unitaries)
+        else:
+            _, least, _, passed = checked
+            failed = np.flatnonzero(~passed)
+            order = failed[np.argsort(least[failed], kind="stable")]
+        ok = all(
+            solve_joint_feasibility(
+                FeasibilityProblem(a=a, b=Povm(effects=b[i]), targets=targets[i]),
+                tol, max_iter,
+            ).status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+            for i in order
+        )
         if history is not None:
             history.append((lam, ok))
         return ok

@@ -19,10 +19,13 @@ EIGENVALUE_GAP_TOL = 1e-9
 UNITARITY_TOL = 1e-10
 
 
-def as_square_array(m) -> np.ndarray:
+def as_square_array(m, stacked: bool = False) -> np.ndarray:
+    """m as a finite complex128 square matrix, or with stacked=True as a
+    stack (k, d, d) of them."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
+        kind = "a stack of square matrices" if stacked else "a square matrix"
+        raise ValueError(f"expected {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
@@ -37,9 +40,13 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> 
     return 0.5 * (a + a.conj().T)
 
 
-def require_unitary(m, tol: float = UNITARITY_TOL, name: str = "matrix") -> np.ndarray:
-    a = as_square_array(m)
-    dev = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
+def require_unitary(
+    m, tol: float = UNITARITY_TOL, name: str = "matrix", stacked: bool = False
+) -> np.ndarray:
+    """m as a unitary matrix; with stacked=True a stack (k, d, d) of them,
+    every one held to the same tolerance by one check."""
+    a = as_square_array(m, stacked)
+    dev = np.max(np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(a.shape[-1])))
     if dev > tol:
         raise NotUnitaryError(f"{name} fails unitarity by {dev:.3e} (tol {tol:.1e})")
     return a

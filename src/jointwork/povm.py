@@ -31,12 +31,7 @@ class Povm:
         eff = self.effects
         if eff.ndim != 3 or eff.shape[1] != eff.shape[2]:
             raise ValueError(f"effects must be (m, d, d), got {eff.shape}")
-        worst = np.min(np.linalg.eigvalsh(0.5 * (eff + eff.conj().transpose(0, 2, 1))))
-        if worst < EFFECT_PSD_FLOOR:
-            raise NotPsdError(f"effect eigenvalue {worst:.3e} below {EFFECT_PSD_FLOOR:.1e}")
-        dev = np.max(np.abs(eff.sum(axis=0) - np.eye(eff.shape[1])))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"effects sum to identity only within {dev:.3e}")
+        check_effects(eff)
         eff.setflags(write=False)
 
     @property
@@ -46,6 +41,18 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.effects.shape[1]
+
+
+def check_effects(eff: np.ndarray) -> None:
+    """Povm's checks on effects (..., m, d, d), over any leading axes: every
+    effect's Hermitian part has eigenvalues >= EFFECT_PSD_FLOOR, and each
+    POVM's m effects sum to the identity within COMPLETENESS_TOL."""
+    worst = np.min(np.linalg.eigvalsh(0.5 * (eff + eff.conj().swapaxes(-1, -2))))
+    if worst < EFFECT_PSD_FLOOR:
+        raise NotPsdError(f"effect eigenvalue {worst:.3e} below {EFFECT_PSD_FLOOR:.1e}")
+    dev = np.max(np.abs(eff.sum(axis=-3) - np.eye(eff.shape[-1])))
+    if dev > COMPLETENESS_TOL:
+        raise ValueError(f"effects sum to identity only within {dev:.3e}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from jointwork import _kernels, feasibility
-from jointwork.bloch import symmetric_critical_visibility
+from jointwork.bloch import kappa, symmetric_critical_visibility
+from jointwork.errors import NotUnitaryError
 from jointwork.feasibility import (
     STALL_SCALE,
     STALL_WINDOW,
@@ -17,7 +18,7 @@ from jointwork.feasibility import (
     square_root_certificate,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import Povm, check_marginals
+from jointwork.povm import Povm, check_marginals, heisenberg_povm, noisy_effects, noisy_povm
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -292,6 +293,88 @@ def test_rotated_first_hamiltonian_is_posed_in_its_eigenbasis(d):
         assert res.status is FeasibilityStatus.INFEASIBLE and res.gap > 0.1
 
 
+def _stack_and_singles(d, lam, n_unitaries=6, seed=3):
+    h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
+    us = np.stack([haar_random_unitary(d, seed + k) for k in range(n_unitaries)])
+    stack = feasibility._problem_poser(h, h, lam, lam)(us)
+    singles = [joint_feasibility_problem(h, h, u, lam, lam) for u in us]
+    return us, stack, singles
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("lam", [0.5, 0.64, 1.0])
+def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        us, (a, b, targets), singles = _stack_and_singles(d, lam)
+        assert not (b.flags.writeable or targets.flags.writeable)
+        h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
+        roots = noisy_effects(h, lam).sqrt_effects
+        for k, prob in enumerate(singles):
+            assert np.array_equal(a.effects, prob.a.effects)
+            assert np.array_equal(b[k], prob.b.effects)
+            assert np.array_equal(targets[k], prob.targets)
+            # the per-unitary formulas, one matrix at a time
+            b_heis = heisenberg_povm(noisy_povm(h, lam), us[k]).effects
+            assert np.array_equal(b[k], b_heis)
+            assert np.array_equal(
+                targets[k], np.einsum("aij,bjk,akl->abil", roots, b_heis, roots)
+            )
+        if lam < 1.0:
+            return
+        # the sharp limit has no square-root grid, so its solves reach the
+        # kernel, still without a warning
+        assert feasibility._square_root_grids(a.effects, b, targets, 1e-7) is None
+        calls = []
+        kernel = _kernels.dykstra
+        monkeypatch.setattr(_kernels, "dykstra", lambda *args: calls.append(1) or kernel(*args))
+        res = solve_joint_feasibility(singles[0], max_iter=200)
+    assert calls == [1] and res.iterations > 0
+    assert res.status is not FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
+
+
+def test_stacked_pose_checks_the_whole_stack():
+    h = hamiltonian_from_energies([0.0, 1.0, 2.0])
+    pose = feasibility._problem_poser(h, h, 0.6, 0.6)
+    us = np.stack([haar_random_unitary(3, k) for k in range(4)])
+    bad = us.copy()
+    bad[2] *= 1.001
+    with pytest.raises(NotUnitaryError):
+        pose(bad)
+    with pytest.raises(ValueError):
+        pose(us[0])  # one matrix, not a stack
+    with pytest.raises(ValueError):
+        pose(np.stack([haar_random_unitary(2, k) for k in range(4)]))
+    nonfinite = us.copy()
+    nonfinite[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        pose(nonfinite)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stacked_square_root_check_matches_the_certificate(d):
+    seen = Counter()
+    crit = symmetric_critical_visibility(d)
+    for lam in (crit - 0.05, crit + 0.005, crit + 0.02, crit + 0.1):
+        _, (a, b, targets), singles = _stack_and_singles(d, lam, n_unitaries=10)
+        grid, least, residual, passed = feasibility._square_root_grids(
+            a.effects, b, targets, 1e-7
+        )
+        assert least.shape == residual.shape == passed.shape == (10,)
+        for k, prob in enumerate(singles):
+            one = feasibility._square_root_grids(prob.a.effects, prob.b.effects, prob.targets, 1e-7)
+            assert np.array_equal(one[0], grid[k])
+            assert (one[1], one[2], one[3]) == (least[k], residual[k], passed[k])
+            cert = square_root_certificate(prob)
+            assert (cert is not None) == passed[k]
+            if cert is not None:
+                assert cert.min_eigenvalue == least[k]
+                assert cert.marginal_residual == residual[k]
+                assert np.array_equal(cert.grid, grid[k])
+            seen[bool(passed[k])] += 1
+    assert seen[True] >= 5 and seen[False] >= 5
+
+
 def test_estimate_critical_visibility_qubit():
     history = []
     est = estimate_critical_visibility(2, 10, resolution=2e-3, seed=4, history=history)
@@ -350,20 +433,30 @@ PINNED_ESTIMATES = {
 }
 
 
+def _least_grid_eigenvalue(prob, d, lam):
+    # the square-root grid written out: targets with each off-diagonal
+    # entry divided by kappa(d, lam)
+    off = ~np.eye(d, dtype=bool)
+    grid = prob.targets.copy()
+    grid[:, :, off] /= kappa(d, lam)
+    return np.linalg.eigvalsh(0.5 * (grid + grid.conj().transpose(0, 1, 3, 2))).min()
+
+
 @pytest.mark.parametrize("d, seed", sorted(PINNED_ESTIMATES))
-def test_estimate_is_pinned_and_fail_first_saves_solves(d, seed, monkeypatch):
+def test_estimate_is_pinned_and_solves_failed_grids_most_negative_first(d, seed, monkeypatch):
     estimate, pinned_history, index_order_solves = PINNED_ESTIMATES[(d, seed)]
     history = []
-    solves, kernel_calls = Counter(), Counter()
+    solves, kernel_calls, first_kernel_b = Counter(), Counter(), {}
     solve, kernel = feasibility.solve_joint_feasibility, _kernels.dykstra
 
     def counted_solve(*args):
         solves[len(history)] += 1
         return solve(*args)
 
-    def counted_kernel(*args):
+    def counted_kernel(a_eff, b_eff, *args):
         kernel_calls[len(history)] += 1
-        return kernel(*args)
+        first_kernel_b.setdefault(len(history), b_eff)
+        return kernel(a_eff, b_eff, *args)
 
     monkeypatch.setattr(feasibility, "solve_joint_feasibility", counted_solve)
     monkeypatch.setattr(_kernels, "dykstra", counted_kernel)
@@ -374,14 +467,25 @@ def test_estimate_is_pinned_and_fail_first_saves_solves(d, seed, monkeypatch):
     per_probe = [solves[i] for i in range(len(history))]
     assert sum(solves.values()) == sum(per_probe)
     assert all(a <= b for a, b in zip(per_probe, index_order_solves))
-    # a probe that fails at the unitary which failed the probe before it
-    # stops after one solve
     assert sum(per_probe) < sum(index_order_solves)
-    # square-root grids certify every passing solve, so the projections run
-    # once per failing probe, on the unitary that fails it
+    # a probe whose square-root grids all pass runs no solve; a failing one
+    # runs the projections once, on the unitary that fails it
+    assert all(per_probe[i] == 0 for i, (_, ok) in enumerate(history) if ok)
     assert [kernel_calls[i] for i in range(len(history))] == [
         0 if ok else 1 for _, ok in history
     ]
+    # and that unitary is the one whose grid has the most negative least
+    # eigenvalue
+    h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=20)
+    unitaries = [haar_random_unitary(d, int(s)) for s in seeds]
+    for i, (lam, ok) in enumerate(history):
+        if ok:
+            continue
+        problems = [joint_feasibility_problem(h, h, u, lam, lam) for u in unitaries]
+        worst = min(problems, key=lambda p: _least_grid_eigenvalue(p, d, lam))
+        assert _least_grid_eigenvalue(worst, d, lam) < 0.0
+        assert np.array_equal(first_kernel_b[i], worst.b.effects)
 
 
 def test_estimate_stops_at_float_resolution():
