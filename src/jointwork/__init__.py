@@ -54,7 +54,6 @@ from .povm import (
     NoisyEnergyPovm,
     Povm,
     check_marginals,
-    depolarize,
     heisenberg_povm,
     instrument_channel,
     inverse_instrument_channel,
@@ -65,14 +64,10 @@ from .povm import (
 from .workobs import (
     EnergyAssignment,
     JointWorkObservable,
-    WorkDistribution,
     build_joint_observable,
     corrected_assignment,
     jarzynski_assignment,
-    jarzynski_sum,
-    mean_work,
     naive_assignment,
-    work_distribution,
 )
 
 __version__ = "0.1.0"

@@ -78,8 +78,8 @@ class VisibilityPair:
 
 def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     """Choi matrix (scaled by d^2 relative to the normalized maximally
-    entangled state) of the composed map: depolarize, then undo the
-    measurement channel.
+    entangled state) of the composed map: the depolarizing map at gamma,
+    then the inverse measurement channel.
 
     On basis units the composed map acts as |i><i| -> gamma|i><i| + (1-gamma)/d
     and |i><j| -> (gamma/kappa)|i><j| for i != j, which is what gets assembled

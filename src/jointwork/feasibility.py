@@ -29,8 +29,8 @@ The result carries the final gap, the iteration count and whether its
 verdict is certified.
 
 The visibility estimator poses each bisection probe's unitaries as one
-stack: one einsum for the conjugated second measurements, one for the
-targets, and one square-root check over every grid, each array about
+stack: one einsum for the conjugated second measurements, one broadcast for
+the targets, and one square-root check over every grid, each array about
 n_unitaries*m*n*d^2*16 bytes. A probe whose grids all pass runs no solve;
 otherwise the unitaries whose grid failed are solved, most negative least
 grid eigenvalue first, until the first non-feasible verdict.
@@ -51,7 +51,15 @@ from .operators import (
     hamiltonian_from_energies,
     require_unitary,
 )
-from .povm import Povm, check_effects, check_marginals, noisy_effects, noisy_povm
+from .povm import (
+    Povm,
+    check_effects,
+    check_marginals,
+    divide_coherences,
+    noisy_effects,
+    noisy_povm,
+    square_root_grid,
+)
 
 STALL_WINDOW = 500
 STALL_SCALE = 10.0
@@ -112,7 +120,7 @@ def _problem_poser(h_a, h_b, lam, gamma):
     """joint_feasibility_problem over a stack of unitaries (k, d, d): what
     does not depend on them is built once, and `pose(us)` returns the shared
     first measurement A, the conjugated second measurements (k, n, d, d) and
-    the targets (k, m, n, d, d), each one einsum over the stack. The checks
+    the targets (k, m, n, d, d), each built once over the stack. The checks
     of the per-unitary path (unitarity, Povm's, the targets' Hermiticity)
     run once on the whole stack, with the same tolerances."""
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
@@ -126,7 +134,7 @@ def _problem_poser(h_a, h_b, lam, gamma):
             raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
         b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
         check_effects(b)
-        targets = np.einsum("aij,nbjk,akl->nabil", a.sqrt_effects, b, a.sqrt_effects)
+        targets, _ = square_root_grid(a, b)
         _check_hermitian_blocks(targets)
         b.setflags(write=False)
         targets.setflags(write=False)
@@ -164,11 +172,9 @@ def _square_root_grids(a_eff, b_eff, targets, tol):
     diag = np.diagonal(a_eff, axis1=1, axis2=2).real
     if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
         return None
-    kap = np.sqrt(diag[:, :, None] * diag[:, None, :]).sum(axis=0)
-    np.fill_diagonal(kap, 1.0)  # dividing by 1.0 keeps the diagonals' bits
-    if not np.all(kap > 0.0):
+    grid = divide_coherences(diag, targets)
+    if grid is None:
         return None
-    grid = targets / kap
     sym = 0.5 * (grid + grid.conj().swapaxes(-1, -2))
     least = np.linalg.eigvalsh(sym)[..., 0]
     eps = np.finfo(least.dtype).eps
@@ -190,9 +196,9 @@ def square_root_certificate(
 
     With every A_a diagonal, the channel Lambda(X) = sum_a A_a^(1/2) X
     A_a^(1/2) keeps the diagonal and scales entry (i, j) by
-    kappa_ij = sum_a sqrt(A_a,ii A_a,jj). So the grid is `targets` with each
-    off-diagonal entry divided by kappa_ij: its diagonals are the targets'
-    own, and its row and column sums are A_a and B_b up to rounding.
+    kappa_ij = sum_a sqrt(A_a,ii A_a,jj). So the grid is `targets` through
+    `povm.divide_coherences`: its diagonals are the targets' own, and its
+    row and column sums are A_a and B_b up to rounding.
     Returns FEASIBLE_ZERO_OBJECTIVE, certified, after zero iterations, when
     every block's eigvalsh minimum is at least EIG_ERROR_PER_DIM*d*eps times
     the sum of its absolute entries (`_kernels.farkas_certificate`'s bound)

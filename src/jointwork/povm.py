@@ -2,9 +2,9 @@
 
 The workhorse fact used throughout: in the eigenbasis of the measured
 Hamiltonian the instrument channel X -> sum_a A_a^(1/2) X A_a^(1/2) leaves
-diagonal entries alone and multiplies off-diagonal entries by kappa(d, lam).
-That makes the channel inversion exact (divide by kappa) instead of a
-numerical superoperator inversion.
+diagonal entries alone and multiplies entry (i, j) by kappa_ij. That makes
+the channel inversion exact (`divide_coherences`) instead of a numerical
+superoperator inversion, and the square-root grid a broadcast.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import INVERTIBILITY_CUTOFF, kappa
+from .bloch import INVERTIBILITY_CUTOFF
 from .errors import NonInvertibleInstrumentError, NotPsdError
 from .operators import SpectralHamiltonian, as_square_array, require_unitary
 
@@ -60,17 +60,20 @@ class NoisyEnergyPovm:
     """Unsharp energy measurement effect_a = lam*P_a + (1-lam)/d * 1 and its
     square-root instrument rho -> A_a^(1/2) rho A_a^(1/2).
 
-    The Hamiltonian and visibility are kept so the measurement channel can
-    be inverted exactly in the eigenbasis.
+    The Hamiltonian, the visibility and the eigenbasis diagonals are kept
+    so the measurement channel can be inverted exactly in the eigenbasis.
     """
 
     hamiltonian: SpectralHamiltonian
     visibility: float
     povm: Povm
     sqrt_effects: np.ndarray  # (d, d, d), sqrt_effects[a] = effects[a]^(1/2)
+    diagonal_effects: np.ndarray  # (d, d) real, row a: A_a's eigenbasis diagonal
+    diagonal_roots: np.ndarray  # (d, d) real, row a: that of A_a^(1/2)
 
     def __post_init__(self):
-        self.sqrt_effects.setflags(write=False)
+        for arr in (self.sqrt_effects, self.diagonal_effects, self.diagonal_roots):
+            arr.setflags(write=False)
 
     @property
     def effects(self) -> np.ndarray:
@@ -99,14 +102,19 @@ def noisy_effects(h: SpectralHamiltonian, visibility: float) -> NoisyEnergyPovm:
 
     Each effect has eigenvalue lam + (1-lam)/d on its projector and
     (1-lam)/d elsewhere, so its square root is the same projector
-    combination with rooted weights.
+    combination with rooted weights. The diagonals repeat the matrices'
+    arithmetic: in the computational basis they match them bit for bit.
     """
     povm = noisy_povm(h, visibility)
-    d = h.dim
+    d, eye = h.dim, np.eye(h.dim)
     c1 = np.sqrt(visibility + (1.0 - visibility) / d)
     c0 = np.sqrt((1.0 - visibility) / d)
-    roots = (c1 - c0) * h.projectors + c0 * np.eye(d, dtype=np.complex128)
-    return NoisyEnergyPovm(hamiltonian=h, visibility=visibility, povm=povm, sqrt_effects=roots)
+    return NoisyEnergyPovm(
+        hamiltonian=h, visibility=visibility, povm=povm,
+        sqrt_effects=(c1 - c0) * h.projectors + c0 * np.eye(d, dtype=np.complex128),
+        diagonal_effects=visibility * eye + (1.0 - visibility) / d,
+        diagonal_roots=(c1 - c0) * eye + c0,
+    )
 
 
 def luders_apply(inst: NoisyEnergyPovm, a: int, rho) -> np.ndarray:
@@ -127,38 +135,43 @@ def instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
     return np.einsum("aij,jk,akl->il", inst.sqrt_effects, a, inst.sqrt_effects)
 
 
-def inverse_instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
-    """Exact inverse of the measurement channel of a noisy energy POVM.
-
-    In the measured eigenbasis the channel is diagonal: entries on the
-    diagonal survive untouched, off-diagonal entries pick up kappa. The
-    inverse divides them back out.
-    """
+def require_invertible(inst: NoisyEnergyPovm) -> None:
+    """Raise NonInvertibleInstrumentError at visibility >= INVERTIBILITY_CUTOFF."""
     if inst.visibility >= INVERTIBILITY_CUTOFF:
         raise NonInvertibleInstrumentError(
             f"visibility {inst.visibility} makes the measurement channel singular"
         )
+
+
+def divide_coherences(a_diag, x):
+    """The inverse channel in the basis where every A_a is diagonal, with
+    diagonals a_diag (m, d): x (..., d, d) with entry (i, j) divided by
+    kappa_ij = sum_a sqrt(A_a,ii A_a,jj), and its diagonal by exactly 1.0.
+    None when some kappa_ij <= 0 (the sharp limit), which has no inverse."""
+    kap = np.sqrt(a_diag[:, :, None] * a_diag[:, None, :]).sum(axis=0)
+    np.fill_diagonal(kap, 1.0)
+    return x / kap if np.all(kap > 0.0) else None
+
+
+def square_root_grid(inst: NoisyEnergyPovm, b):
+    """In inst's measured eigenbasis, for effects b (..., n, d, d) written in
+    it: the targets A_a^(1/2) B_b A_a^(1/2), broadcast from the diagonal
+    roots, and the grid A_a^(1/2) Lambda^-1(B_b) A_a^(1/2) = divide_coherences
+    of the targets (None in the sharp limit), each (..., m, n, d, d)."""
+    r = inst.diagonal_roots
+    targets = r[:, None, :, None] * b[..., None, :, :, :] * r[:, None, None, :]
+    return targets, divide_coherences(inst.diagonal_effects, targets)
+
+
+def inverse_instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
+    """Exact inverse of the measurement channel, V divide_coherences(V^dag X
+    V) V^dag with V the measured eigenbasis; raises as require_invertible."""
+    require_invertible(inst)
     a = as_square_array(x)
-    d = inst.dim
-    if a.shape[0] != d:
-        raise ValueError(f"operator dim {a.shape[0]} != instrument dim {d}")
-    k = kappa(d, inst.visibility)
+    if a.shape[0] != inst.dim:
+        raise ValueError(f"operator dim {a.shape[0]} != instrument dim {inst.dim}")
     v = inst.hamiltonian.basis
-    y = v.conj().T @ a @ v
-    diag = np.diagonal(y).copy()
-    y = y / k
-    np.fill_diagonal(y, diag)
-    return v @ y @ v.conj().T
-
-
-def depolarize(x, gamma: float) -> np.ndarray:
-    """Depolarizing map gamma*X + (1-gamma)*Tr[X]/d * 1.
-
-    Linear in X; on unit-trace inputs this is the usual white-noise mix.
-    """
-    a = as_square_array(x)
-    d = a.shape[0]
-    return gamma * a + (1.0 - gamma) * np.trace(a) / d * np.eye(d)
+    return v @ divide_coherences(inst.diagonal_effects, v.conj().T @ a @ v) @ v.conj().T
 
 
 def heisenberg_povm(b: Povm, u) -> Povm:

@@ -3,12 +3,12 @@
 The construction: measure the first Hamiltonian unsharply (visibility lam),
 evolve, measure the second unsharply (visibility gamma). The grid
 
-    W_ab = A_a^(1/2) C_b A_a^(1/2),   C_b = inv_channel(depolarize(U^dag P'_b U))
+    W_ab = A_a^(1/2) Lambda^-1(U^dag B_b U) A_a^(1/2),   Lambda the first channel
 
 reproduces both marginals exactly for any unitary; whether every W_ab is
 positive is controlled by gamma against the closed-form bound. The first
 measurement is one NoisyEnergyPovm: its effects A_a are the grid's first
-marginal, and its closed-form roots A_a^(1/2) build the grid and verify the
+marginal, and its closed-form roots build the grid and verify the
 log-domain assignment. Energy assignment functions attach work values
 w(a,b) = g(b) - f(a) to the grid.
 """
@@ -21,16 +21,16 @@ import numpy as np
 
 from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
-from .operators import SpectralHamiltonian, logsumexp, require_hermitian, require_unitary
+from .operators import SpectralHamiltonian, logsumexp, require_unitary
 from .povm import (
     NoisyEnergyPovm,
     Povm,
     check_marginals,
     heisenberg_povm,
-    inverse_instrument_channel,
-    luders_apply,
     noisy_effects,
     noisy_povm,
+    require_invertible,
+    square_root_grid,
 )
 
 POSITIVITY_AUDIT_TOL = -1e-9
@@ -117,9 +117,8 @@ def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment
         inv_z = float(np.exp(-log_z))
         gibbs_p = np.exp(-beta * e - log_z)
         rho = (h.basis * gibbs_p) @ h.basis.conj().T
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for a in range(d):
-            acc += np.exp(beta * vals[a]) * luders_apply(inst, a, rho)
+        roots = inst.sqrt_effects
+        acc = np.tensordot(np.exp(beta * vals), roots @ rho @ roots, axes=1)
         resid = float(np.max(np.abs(acc - inv_z * np.eye(d))))
         if resid > 1e-10 * max(1.0, inv_z):
             raise ArithmeticError(
@@ -151,10 +150,6 @@ class JointWorkObservable:
         self.unitary.setflags(write=False)
 
     @property
-    def dim(self) -> int:
-        return self.effects.shape[2]
-
-    @property
     def positivity_ok(self) -> bool:
         return self.min_effect_eigenvalue >= POSITIVITY_AUDIT_TOL
 
@@ -168,22 +163,25 @@ class JointWorkObservable:
 def build_joint_observable(
     h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, u, pair: VisibilityPair
 ) -> JointWorkObservable:
-    """Construct W_ab = A_a^(1/2) C_b A_a^(1/2) for the noisy pair.
+    """Construct W_ab = A_a^(1/2) Lambda^-1(U^dag B_b U) A_a^(1/2) for the
+    noisy pair as V K V^dag, K the square-root grid in the eigenbasis V of h_a.
 
-    C_b undoes the first measurement channel on the depolarized, Heisenberg-
-    rotated effects of the second measurement, which forces both marginals
-    exactly. The minimum effect eigenvalue over the grid is recorded; it dips
-    negative precisely when gamma exceeds the closed-form bound.
+    Undoing the first measurement channel forces both marginals exactly. The
+    minimum effect eigenvalue over the grid is recorded; it dips negative
+    precisely when gamma exceeds the closed-form bound. Raises
+    NonInvertibleInstrumentError when lam makes the channel singular.
     """
     d = h_a.dim
     if h_b.dim != d:
         raise ValueError(f"Hamiltonian dims differ: {d} vs {h_b.dim}")
     uu = require_unitary(u, name="process unitary")
     inst = noisy_effects(h_a, pair.lam)
+    require_invertible(inst)
     b_lab = noisy_povm(h_b, pair.gamma)
     b_heis = heisenberg_povm(b_lab, uu)
-    c = np.stack([inverse_instrument_channel(inst, eff) for eff in b_heis.effects])
-    w = np.einsum("aij,bjk,akl->abil", inst.sqrt_effects, c, inst.sqrt_effects)
+    v = h_a.basis
+    _, k = square_root_grid(inst, v.conj().T @ b_heis.effects @ v)
+    w = v @ k @ v.conj().T
     eigs = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 1, 3, 2)))
     flat = int(np.argmin(eigs[:, :, 0]))
     min_idx = (flat // d, flat % d)
@@ -198,45 +196,3 @@ def build_joint_observable(
         min_effect_index=min_idx,
         marginal_deviation=dev,
     )
-
-
-@dataclass(frozen=True)
-class WorkDistribution:
-    """Flattened outcome-pair distribution with attached work values."""
-
-    work: np.ndarray
-    probability: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.work, self.probability):
-            arr.setflags(write=False)
-
-
-def work_distribution(
-    w_obs: JointWorkObservable, rho, f: EnergyAssignment, g: EnergyAssignment
-) -> WorkDistribution:
-    """p(a,b) = Tr[W_ab rho] with work values g(b) - f(a)."""
-    r = require_hermitian(rho, name="state")
-    tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise ValueError(f"state trace {tr} != 1")
-    p = np.einsum("abij,ji->ab", w_obs.effects, r).real
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError(
-            f"grid statistics are not a distribution (min {p.min():.3e}, sum {p.sum():.12f}); "
-            "the observable is likely above the positivity bound for this state"
-        )
-    work = w_obs.work_values(f, g)
-    return WorkDistribution(work=work.ravel().copy(), probability=p.ravel())
-
-
-def jarzynski_sum(dist: WorkDistribution, beta: float) -> float:
-    """Exponential work average sum_ab p(a,b) e^{-beta w(a,b)}; needs
-    0 < beta < inf."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    return float(np.sum(dist.probability * np.exp(-beta * dist.work)))
-
-
-def mean_work(dist: WorkDistribution) -> float:
-    return float(np.sum(dist.probability * dist.work))

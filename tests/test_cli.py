@@ -282,6 +282,17 @@ def test_spec_rejects_overflowing_beta_times_energy(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_singular_measurement_channel_is_an_input_error(tmp_path, capsys, command):
+    # a valid pair whose first visibility lies past INVERTIBILITY_CUTOFF: the
+    # joint observable needs the inverse channel, which does not exist there
+    spec = _write_spec(tmp_path, visibility={"lambda": 0.9999999999, "gamma": 1e-5})
+    assert main([command, spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: visibility 0.9999999999 makes the measurement channel singular")
+    assert err.count("\n") == 1
+
+
 def test_run_with_haar_seed(tmp_path, capsys):
     spec = _write_spec(tmp_path, unitary={"haar_seed": 5})
     out = tmp_path / "r.jsonl"

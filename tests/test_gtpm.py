@@ -14,7 +14,7 @@ from jointwork.gtpm import (
     sample_gtpm,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import noisy_effects
+from jointwork.povm import noisy_effects, noisy_povm
 from jointwork.workobs import build_joint_observable
 
 
@@ -78,6 +78,19 @@ def test_gtpm_distribution_normalization(rng):
     assert p.shape == (d, d)
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+def test_gtpm_distribution_validation(qubit):
+    inst = noisy_effects(qubit, 0.8)
+    b_lab = noisy_povm(qubit, 0.5)
+    u = np.eye(2, dtype=complex)
+    for bad in (
+        np.eye(2, dtype=complex),  # trace 2
+        np.diag([1.5, -0.5]).astype(complex),  # unit trace, not PSD
+        np.eye(3, dtype=complex) / 3.0,  # a state of the wrong dimension
+    ):
+        with pytest.raises(ValueError):
+            gtpm_distribution(bad, inst, u, b_lab)
 
 
 def test_sequential_stats_match_joint_observable_for_diagonal_states(rng):

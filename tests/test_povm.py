@@ -7,7 +7,6 @@ from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
 from jointwork.povm import (
     Povm,
     check_marginals,
-    depolarize,
     heisenberg_povm,
     instrument_channel,
     inverse_instrument_channel,
@@ -108,18 +107,6 @@ def test_inverse_channel_guards(ladder3):
         inverse_instrument_channel(inst, np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         inverse_instrument_channel(noisy_effects(ladder3, 0.5), np.eye(2, dtype=complex))
-
-
-def test_depolarize_is_the_linear_extension(rng):
-    gamma, d = 0.6, 3
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    got = depolarize(x, gamma)
-    want = gamma * x + (1.0 - gamma) * np.trace(x) / d * np.eye(d)
-    assert np.allclose(got, want, atol=1e-14)
-    # traceless inputs just shrink, identity is fixed
-    t = x - np.trace(x) / d * np.eye(d)
-    assert np.allclose(depolarize(t, gamma), gamma * t, atol=1e-13)
-    assert np.allclose(depolarize(np.eye(d), gamma), np.eye(d), atol=1e-15)
 
 
 def test_heisenberg_povm(ladder3):

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_hamiltonian
-from jointwork.bloch import VisibilityPair, gamma_bound
-from jointwork.errors import AssignmentDomainError, ZeroVisibilityError
-from jointwork.gtpm import free_energy_difference, gibbs_state
+from jointwork.bloch import INVERTIBILITY_CUTOFF, VisibilityPair, gamma_bound, kappa
+from jointwork.errors import AssignmentDomainError, NonInvertibleInstrumentError, ZeroVisibilityError
+from jointwork.gtpm import free_energy_difference, gibbs_state, gtpm_distribution
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import noisy_effects
+from jointwork.povm import noisy_effects, noisy_povm
 from jointwork.workobs import (
     build_joint_observable,
     corrected_assignment,
     jarzynski_assignment,
-    jarzynski_sum,
-    mean_work,
     naive_assignment,
-    work_distribution,
 )
 
 
@@ -84,6 +81,46 @@ def test_observable_marginals_and_completeness(d, rng):
     assert w.min_effect_eigenvalue > -1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_observable_matches_the_lab_frame_reference(d, rng):
+    # W_ab = A_a^(1/2) Lambda^-1(U^dag B_b U) A_a^(1/2) written out in the lab
+    # frame, one effect at a time: Lambda^-1 divides the coherences in the
+    # eigenbasis V of h_a by the closed-form kappa(d, lam)
+    h_a = random_hamiltonian(d, rng)
+    h_b = random_hamiltonian(d, rng)
+    u = haar_random_unitary(d, int(rng.integers(2**63)))
+    lam = 0.62
+    pair = VisibilityPair(lam, 0.9 * gamma_bound(d, lam))
+    roots = noisy_effects(h_a, lam).sqrt_effects
+    v = h_a.basis
+    want = np.empty((d, d, d, d), dtype=complex)
+    for b, eff in enumerate(noisy_povm(h_b, pair.gamma).effects):
+        y = v.conj().T @ u.conj().T @ eff @ u @ v
+        y[~np.eye(d, dtype=bool)] /= kappa(d, lam)
+        c = v @ y @ v.conj().T
+        for a in range(d):
+            want[a, b] = roots[a] @ c @ roots[a]
+    w = build_joint_observable(h_a, h_b, u, pair)
+    assert np.max(np.abs(w.effects - want)) < 1e-13
+    eigs = np.linalg.eigvalsh(0.5 * (want + want.conj().transpose(0, 1, 3, 2)))[:, :, 0]
+    assert abs(w.min_effect_eigenvalue - eigs.min()) < 1e-13
+    if d == 2:
+        # W_01 and W_10 (and W_00 and W_11) share their least eigenvalue, so
+        # rounding picks the index between the two
+        assert eigs[w.min_effect_index] - eigs.min() < 1e-13
+    else:
+        assert w.min_effect_index == np.unravel_index(np.argmin(eigs), (d, d))
+
+
+def test_observable_needs_an_invertible_channel(qubit):
+    # the channel is singular from INVERTIBILITY_CUTOFF up, though the pair
+    # itself is valid
+    lam = 0.9999999999
+    assert lam >= INVERTIBILITY_CUTOFF
+    with pytest.raises(NonInvertibleInstrumentError):
+        build_joint_observable(qubit, qubit, np.eye(2, dtype=complex), VisibilityPair(lam, 1e-5))
+
+
 def test_observable_positivity_fails_above_bound():
     # d=2 at lam=gamma=0.75 sits outside the compatibility region, so some
     # unitaries must produce a negative effect eigenvalue
@@ -120,50 +157,40 @@ def test_corrected_assignments_recover_average_work(rng):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = x @ x.conj().T
         rho /= np.trace(rho).real
-        dist = work_distribution(
-            w, rho, corrected_assignment(h_a, pair.lam), corrected_assignment(h_b, pair.gamma)
-        )
+        fc = corrected_assignment(h_a, pair.lam)
+        gc = corrected_assignment(h_b, pair.gamma)
+        # the average work operator sum_ab w(a,b) W_ab, read on rho
+        wop = np.einsum("ab,abij->ij", w.work_values(fc, gc), w.effects)
         want = (
             np.trace(h_b.matrix() @ u @ rho @ u.conj().T).real
             - np.trace(h_a.matrix() @ rho).real
         )
-        assert abs(mean_work(dist) - want) < 1e-12
+        assert abs(np.trace(wop @ rho).real - want) < 1e-12
 
 
-def test_work_distribution_validation(qubit):
-    pair = VisibilityPair(0.8, 0.5)
-    w = build_joint_observable(qubit, qubit, np.eye(2, dtype=complex), pair)
-    f = naive_assignment(qubit)
-    with pytest.raises(ValueError):
-        work_distribution(w, np.eye(2, dtype=complex), f, f)  # trace 2
+def _jarzynski_sum(h_a, h_b, u, pair, beta):
+    """sum_ab p(a,b) e^{-beta w(a,b)} over the two-point table of the Gibbs
+    state of h_a, as `run` reports it, with the log-domain first assignment
+    and the bare second one."""
+    w = build_joint_observable(h_a, h_b, u, pair)
+    p = gtpm_distribution(gibbs_state(h_a, beta).rho, w.instrument, u, w.b_lab)
+    work = w.work_values(jarzynski_assignment(w.instrument, beta), naive_assignment(h_b))
+    return float(np.sum(p * np.exp(-beta * work)))
 
 
 def test_jarzynski_sum_matches_partition_ratio(qubit):
     h_b = hamiltonian_from_energies([0.0, 2.0])
     beta, lam = 1.0, 0.9
     pair = VisibilityPair(lam, 0.9 * gamma_bound(2, lam))
-    u = haar_random_unitary(2, 3)
-    w = build_joint_observable(qubit, h_b, u, pair)
-    rho = gibbs_state(qubit, beta).rho
-    dist = work_distribution(
-        w, rho, jarzynski_assignment(w.instrument, beta), naive_assignment(h_b)
-    )
-    got = jarzynski_sum(dist, beta)
+    got = _jarzynski_sum(qubit, h_b, haar_random_unitary(2, 3), pair, beta)
     want = (1.0 + np.exp(-2.0)) / (1.0 + np.exp(-1.0))
     assert abs(got - want) < 1e-12
     assert abs(got - 0.8299965984314521) < 1e-12
     assert abs(free_energy_difference(qubit, h_b, beta) - 0.1863336764752503) < 1e-12
-    for bad in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            jarzynski_sum(dist, bad)
 
 
 def test_jarzynski_sum_trivial_case(qubit):
     beta, lam = 1.0, 0.8
     pair = VisibilityPair(lam, 0.9 * gamma_bound(2, lam))
-    w = build_joint_observable(qubit, qubit, np.eye(2, dtype=complex), pair)
-    rho = gibbs_state(qubit, beta).rho
-    dist = work_distribution(
-        w, rho, jarzynski_assignment(w.instrument, beta), naive_assignment(qubit)
-    )
-    assert abs(jarzynski_sum(dist, beta) - 1.0) < 1e-12
+    got = _jarzynski_sum(qubit, qubit, np.eye(2, dtype=complex), pair, beta)
+    assert abs(got - 1.0) < 1e-12
