@@ -67,6 +67,7 @@ from .workobs import (
     build_joint_observable,
     corrected_assignment,
     jarzynski_assignment,
+    jarzynski_domain,
     naive_assignment,
 )
 

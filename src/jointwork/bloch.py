@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInvertibleInstrumentError
-from .operators import require_hermitian
+from .operators import every, require_hermitian
 
 # visibility this close to 1 makes the measurement channel numerically singular
 INVERTIBILITY_CUTOFF = 1.0 - 1e-9
@@ -64,13 +64,15 @@ def lambda_mub(d: int) -> float:
 
 @dataclass(frozen=True)
 class VisibilityPair:
-    """Visibilities of the first (lam) and second (gamma) noisy measurement."""
+    """Visibilities of the first (lam) and second (gamma) noisy measurement;
+    arrays (k,) for a stack of cases."""
 
     lam: float
     gamma: float
 
     def __post_init__(self):
-        if not (0.0 < self.lam < 1.0 and 0.0 < self.gamma < 1.0):
+        lam, gam = self.lam, self.gamma
+        if not every((0.0 < lam) & (lam < 1.0) & (0.0 < gam) & (gam < 1.0)):
             raise ValueError(
                 f"visibilities must lie strictly inside (0,1), got ({self.lam}, {self.gamma})"
             )

@@ -112,17 +112,19 @@ def joint_feasibility_problem(
     Visibilities may be 1 here (sharp limit): the search itself never needs
     the inverse channel, so the projective no-go case is expressible.
     """
-    a, b, targets = _problem_poser(h_a, h_b, lam, gamma)(np.asarray(u)[None])
+    a, b, targets, _ = _problem_poser(h_a, h_b, lam, gamma)(np.asarray(u)[None])
     return FeasibilityProblem(a=a, b=Povm(effects=b[0]), targets=targets[0])
 
 
 def _problem_poser(h_a, h_b, lam, gamma):
     """joint_feasibility_problem over a stack of unitaries (k, d, d): what
     does not depend on them is built once, and `pose(us)` returns the shared
-    first measurement A, the conjugated second measurements (k, n, d, d) and
-    the targets (k, m, n, d, d), each built once over the stack. The checks
-    of the per-unitary path (unitarity, Povm's, the targets' Hermiticity)
-    run once on the whole stack, with the same tolerances."""
+    first measurement A, the conjugated second measurements (k, n, d, d),
+    the targets (k, m, n, d, d) and their square-root grids (k, m, n, d, d;
+    None in the sharp limit), each built once over the stack by
+    `povm.square_root_grid`. The checks of the per-unitary path (unitarity,
+    Povm's, the targets' Hermiticity) run once on the whole stack, with the
+    same tolerances."""
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
     a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
@@ -134,11 +136,11 @@ def _problem_poser(h_a, h_b, lam, gamma):
             raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
         b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
         check_effects(b)
-        targets, _ = square_root_grid(a, b)
+        targets, grid = square_root_grid(a, b)
         _check_hermitian_blocks(targets)
         b.setflags(write=False)
         targets.setflags(write=False)
-        return a.povm, b, targets
+        return a.povm, b, targets, grid
 
     return pose
 
@@ -157,24 +159,19 @@ class FeasibilityResult:
         self.grid.setflags(write=False)
 
 
-def _square_root_grids(a_eff, b_eff, targets, tol):
-    """The square-root grids of problems that share their first measurement
-    A (m, d, d), and their checks, over the leading axes of b_eff
-    (..., n, d, d) and targets (..., m, n, d, d).
+def _square_root_grids(a_eff, b_eff, grid, tol):
+    """The checks of square-root grids (..., m, n, d, d) of problems that
+    share their first measurement A (m, d, d), over the leading axes of
+    b_eff (..., n, d, d) and grid.
 
-    Returns None when an A_a is not a nonnegative diagonal or some
-    kappa_ij <= 0 (see `square_root_certificate`); otherwise (grid, least,
-    residual, passed): the grids (..., m, n, d, d), and per problem the
-    least block eigenvalue, the exact marginal residual and whether both
-    checks hold.
+    Returns None when grid is None (some kappa_ij <= 0, see
+    `square_root_certificate`); otherwise (least, residual, passed): per
+    problem the least block eigenvalue, the exact marginal residual and
+    whether both checks hold.
     """
-    d = a_eff.shape[-1]
-    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
-    if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
-        return None
-    grid = divide_coherences(diag, targets)
     if grid is None:
         return None
+    d = a_eff.shape[-1]
     sym = 0.5 * (grid + grid.conj().swapaxes(-1, -2))
     least = np.linalg.eigvalsh(sym)[..., 0]
     eps = np.finfo(least.dtype).eps
@@ -185,7 +182,7 @@ def _square_root_grids(a_eff, b_eff, targets, tol):
         np.abs(grid.sum(axis=-4) - b_eff).max(axis=(-3, -2, -1)),
     )
     passed = np.all(least >= slack, axis=blocks) & (residual <= STALL_SCALE * tol)
-    return grid, least.min(axis=blocks), residual, passed
+    return least.min(axis=blocks), residual, passed
 
 
 def square_root_certificate(
@@ -206,10 +203,15 @@ def square_root_certificate(
     an A_a is not a nonnegative diagonal, when some kappa_ij <= 0 (the sharp
     limit lam = 1), or when either check fails.
     """
-    checked = _square_root_grids(problem.a.effects, problem.b.effects, problem.targets, tol)
-    if checked is None or not checked[3]:
+    a_eff = problem.a.effects
+    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
+    if np.any(a_eff[:, ~np.eye(a_eff.shape[-1], dtype=bool)]) or np.any(diag < 0.0):
         return None
-    grid, least, residual, _ = checked
+    grid = divide_coherences(diag, problem.targets)
+    checked = _square_root_grids(a_eff, problem.b.effects, grid, tol)
+    if checked is None or not checked[2]:
+        return None
+    least, residual, _ = checked
     return FeasibilityResult(
         status=FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE,
         grid=grid,
@@ -323,12 +325,12 @@ def estimate_critical_visibility(
     unitaries = np.stack([haar_random_unitary(d, int(s)) for s in seeds])
 
     def passes(lam):
-        a, b, targets = _problem_poser(h, h, lam, lam)(unitaries)
-        checked = _square_root_grids(a.effects, b, targets, tol)
+        a, b, targets, grid = _problem_poser(h, h, lam, lam)(unitaries)
+        checked = _square_root_grids(a.effects, b, grid, tol)
         if checked is None:
             order = range(n_unitaries)
         else:
-            _, least, _, passed = checked
+            least, _, passed = checked
             failed = np.flatnonzero(~passed)
             order = failed[np.argsort(least[failed], kind="stable")]
         ok = all(

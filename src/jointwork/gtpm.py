@@ -6,6 +6,9 @@ measurement). The Monte Carlo layer draws trajectories from a table the
 caller built once with gtpm_distribution; the fluctuation check runs that
 sequential composition itself and compares it against the joint-observable
 algebra, which is an independent code path.
+
+States, tables, free energies and residuals follow a stacked Hamiltonian
+(see `operators`): a leading case axis, with beta (k,).
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatchError
-from .operators import SpectralHamiltonian, logsumexp, require_unitary
+from .operators import (
+    SpectralHamiltonian,
+    case_axes,
+    every,
+    logsumexp,
+    per_case,
+    require_unitary,
+)
 from .povm import NoisyEnergyPovm, Povm, luders_apply
 
 DISTRIBUTION_TOL = 1e-10
@@ -23,68 +33,84 @@ DISTRIBUTION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiagonalState:
-    """Mixture of the eigenprojectors of a reference Hamiltonian."""
+    """Mixture of the eigenprojectors of a reference Hamiltonian; a stacked
+    Hamiltonian takes probabilities (k, d)."""
 
     probabilities: np.ndarray
     basis: SpectralHamiltonian
 
     def __post_init__(self):
         p = self.probabilities
-        if p.ndim != 1 or p.shape[0] != self.basis.dim:
+        if p.shape != self.basis.energies.shape:
             raise ValueError(f"need {self.basis.dim} probabilities, got shape {p.shape}")
-        if not np.all(np.isfinite(p)) or np.min(p) < -1e-14 or abs(float(np.sum(p)) - 1.0) > 1e-12:
+        if (
+            not np.all(np.isfinite(p))
+            or np.min(p) < -1e-14
+            or np.abs(p.sum(axis=-1) - 1.0).max() > 1e-12
+        ):
             raise ValueError("probabilities must be finite, nonnegative and sum to 1")
         p.setflags(write=False)
 
     @property
     def rho(self) -> np.ndarray:
         v = self.basis.basis
-        return (v * self.probabilities) @ v.conj().T
+        return (v * self.probabilities[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _check_beta(beta) -> None:
+    if not every((0.0 < beta) & (beta < np.inf)):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 def gibbs_state(h: SpectralHamiltonian, beta: float) -> DiagonalState:
     """Gibbs state exp(-beta H)/Z of h as a DiagonalState; needs 0 < beta < inf."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    log_z = float(logsumexp(-beta * h.energies))
-    return DiagonalState(probabilities=np.exp(-beta * h.energies - log_z), basis=h)
+    _check_beta(beta)
+    b = case_axes(beta, 1)
+    log_z = case_axes(logsumexp(-b * h.energies), 1)
+    return DiagonalState(probabilities=np.exp(-b * h.energies - log_z), basis=h)
 
 
 def free_energy_difference(h_a: SpectralHamiltonian, h_b: SpectralHamiltonian, beta: float) -> float:
     """dF = -(1/beta) ln(Z_B/Z_A), computed in log space; needs 0 < beta < inf."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    log_za = float(logsumexp(-beta * h_a.energies))
-    log_zb = float(logsumexp(-beta * h_b.energies))
+    _check_beta(beta)
+    b = case_axes(beta, 1)
+    log_za = logsumexp(-b * h_a.energies)
+    log_zb = logsumexp(-b * h_b.energies)
     return -(log_zb - log_za) / beta
 
 
-def _validate_state(rho, dim: int) -> np.ndarray:
+def _validate_state(rho, shape) -> np.ndarray:
     r = np.asarray(rho, dtype=np.complex128)
-    if r.shape != (dim, dim):
-        raise ValueError(f"state shape {r.shape} != ({dim}, {dim})")
-    if abs(float(np.trace(r).real) - 1.0) > 1e-10:
+    if r.shape != shape:
+        raise ValueError(f"state shape {r.shape} != {shape}")
+    if np.abs(np.trace(r, axis1=-2, axis2=-1).real - 1.0).max() > 1e-10:
         raise ValueError("state must have unit trace")
-    if float(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))) < -1e-10:
+    if np.linalg.eigvalsh(0.5 * (r + r.conj().swapaxes(-1, -2))).min() < -1e-10:
         raise ValueError("state must be positive semidefinite")
     return r
 
 
 def gtpm_distribution(rho, inst: NoisyEnergyPovm, u, b_povm: Povm) -> np.ndarray:
-    """Joint outcome probabilities p(a,b) = Tr[B_b U I_a(rho) U^dag]."""
+    """Joint outcome probabilities p(a,b) = Tr[B_b U I_a(rho) U^dag]; a
+    stacked inst takes states, unitaries and second POVMs stacked alike and
+    gives tables (k, m, n)."""
     d = inst.dim
-    r = _validate_state(rho, d)
-    uu = require_unitary(u, name="process unitary")
+    cases = inst.hamiltonian.energies.shape[:-1]
+    r = _validate_state(rho, (*cases, d, d))
+    uu = require_unitary(u, name="process unitary", stacked=inst.stacked)
     if b_povm.dim != d:
         raise ValueError(f"second POVM dim {b_povm.dim} != {d}")
     m = inst.outcomes
-    p = np.empty((m, b_povm.outcomes), dtype=np.float64)
+    p = np.empty((*cases, m, b_povm.outcomes), dtype=np.float64)
+    uh = uu.conj().swapaxes(-1, -2)
     for a in range(m):
-        evolved = uu @ luders_apply(inst, a, r) @ uu.conj().T
-        p[a] = np.einsum("bij,ji->b", b_povm.effects, evolved).real
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
+        evolved = uu @ luders_apply(inst, a, r) @ uh
+        p[..., a, :] = np.einsum("...bij,...ji->...b", b_povm.effects, evolved).real
+    sums = p.sum(axis=(-2, -1))
+    if p.min() < -1e-12 or np.abs(sums - 1.0).max() > DISTRIBUTION_TOL:
+        worst = np.ravel(sums)[np.argmax(np.abs(sums - 1.0))]
         raise ArithmeticError(
-            f"computed statistics fail normalization (min {p.min():.3e}, sum {p.sum():.12f})"
+            f"computed statistics fail normalization (min {p.min():.3e}, sum {worst:.12f})"
         )
     return p
 
@@ -129,7 +155,7 @@ def fluctuation_residual(w_obs, rho_diag: DiagonalState) -> float:
     w_obs is a JointWorkObservable; its instrument, unitary and lab-frame
     second POVM (w_obs.b_lab) drive the sequential side. The two pipelines
     share no intermediate quantities: one contracts the W grid with the
-    state, the other runs measure-evolve-measure.
+    state, the other runs measure-evolve-measure. Per case (k,) for a stack.
     """
     inst = w_obs.instrument
     if rho_diag.basis.dim != inst.hamiltonian.dim or not np.allclose(
@@ -139,8 +165,8 @@ def fluctuation_residual(w_obs, rho_diag: DiagonalState) -> float:
             "diagonal state basis differs from the measured energy eigenbasis"
         )
     rho = rho_diag.rho
-    p_joint = np.einsum("abij,ji->ab", w_obs.effects, rho).real
+    p_joint = np.einsum("...abij,...ji->...ab", w_obs.effects, rho).real
     p_seq = gtpm_distribution(rho, inst, w_obs.unitary, w_obs.b_lab)
     if p_joint.shape != p_seq.shape:
         raise ValueError(f"grid shape {p_joint.shape} vs sequential {p_seq.shape}")
-    return float(np.max(np.abs(p_joint - p_seq)))
+    return per_case(np.abs(p_joint - p_seq).max(axis=(-2, -1)))

@@ -4,10 +4,17 @@ Everything here works on dense complex128 arrays. Hamiltonians are kept in
 spectral form (energies, rank-1 projectors, eigenbasis) because downstream
 code constantly needs the eigenbasis to build effects and to undo the
 measurement channel.
+
+A stack of cases rides on one leading axis: a Hamiltonian with energies
+(k, d) holds k Hamiltonians, and the functions that take one pass it on
+through the measurement, state and assignment constructors, with every check
+run once over the whole stack. Without the leading axis each function
+works on one case, as it always has.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +59,50 @@ def require_unitary(
     return a
 
 
-def logsumexp(x) -> float:
-    """log(sum(exp(x))) of a finite real vector, by scipy.special.logsumexp's
-    algorithm: shift by the maximum, leave the maxima out of the exponential
-    sum s, count them as m, and return log1p(s/m) + log(m) + max.
+def per_case(x):
+    """A value reduced over each case: the Python scalar for one case, the
+    array (k,) for a stack."""
+    return x if isinstance(x, np.ndarray) and x.ndim else x.item()
+
+
+def case_axes(x, n: int):
+    """A per-case parameter (k,) with n trailing axes, to broadcast against
+    arrays with n axes per case; a scalar as it is."""
+    return x.reshape(x.shape + (1,) * n) if isinstance(x, np.ndarray) else x
+
+
+def every(ok) -> bool:
+    """Whether a per-case test holds in every case: ok is one bool, or an
+    array of them for a stack."""
+    return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+
+
+def take_cases(obj, idx):
+    """The cases idx of a stack: arrays indexed on their leading (case)
+    axis, tuples and dataclasses field by field (rebuilt, so their checks
+    run again), anything else as it is."""
+    if isinstance(obj, np.ndarray):
+        return obj[idx]
+    if isinstance(obj, tuple):
+        return tuple(take_cases(x, idx) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        fields = dataclasses.fields(obj)
+        return type(obj)(**{f.name: take_cases(getattr(obj, f.name), idx) for f in fields})
+    return obj
+
+
+def logsumexp(x):
+    """log(sum(exp(x))) over the last axis of a finite real array, by
+    scipy.special.logsumexp's algorithm: shift by the maximum, leave the
+    maxima out of the exponential sum s, count them as m, and return
+    log1p(s/m) + log(m) + max. A float for a vector, (k,) for (k, d).
     """
     a = np.asarray(x, dtype=np.float64)
-    top = np.max(a)
+    top = a.max(axis=-1, keepdims=True)
     at_top = a == top
-    m = float(np.count_nonzero(at_top))
-    s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
-    return float(np.log1p(s / m) + np.log(m) + top)
+    m = at_top.sum(axis=-1, dtype=np.float64)
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1)
+    return per_case(np.log1p(s / m) + np.log(m) + top[..., 0])
 
 
 @dataclass(frozen=True)
@@ -70,7 +110,9 @@ class SpectralHamiltonian:
     """Non-degenerate Hamiltonian in spectral form.
 
     energies are strictly ascending; basis columns are the matching
-    orthonormal eigenvectors; projectors[k] = |v_k><v_k|.
+    orthonormal eigenvectors; projectors[k] = |v_k><v_k|. With energies
+    (k, d), basis (k, d, d) and projectors (k, d, d, d) it holds a stack of
+    k Hamiltonians.
     """
 
     energies: np.ndarray
@@ -79,18 +121,22 @@ class SpectralHamiltonian:
 
     @property
     def dim(self) -> int:
-        return self.energies.shape[0]
+        return self.energies.shape[-1]
+
+    @property
+    def stacked(self) -> bool:
+        return self.energies.ndim == 2
 
     def matrix(self) -> np.ndarray:
-        return (self.basis * self.energies) @ self.basis.conj().T
+        return (self.basis * self.energies[..., None, :]) @ self.basis.conj().swapaxes(-1, -2)
 
     def __post_init__(self):
-        d = self.energies.shape[0]
-        if self.energies.ndim != 1 or d < 1:
+        if self.energies.ndim not in (1, 2) or self.energies.shape[-1] < 1:
             raise ValueError("need at least one energy level")
-        if self.basis.shape != (d, d) or self.projectors.shape != (d, d, d):
+        cases, d = self.energies.shape[:-1], self.energies.shape[-1]
+        if self.basis.shape != (*cases, d, d) or self.projectors.shape != (*cases, d, d, d):
             raise ValueError("basis/projector shapes inconsistent with level count")
-        gaps = np.diff(self.energies)
+        gaps = np.diff(self.energies, axis=-1)
         if gaps.size and np.min(gaps) <= EIGENVALUE_GAP_TOL:
             raise DegenerateSpectrumError(
                 f"smallest level spacing {np.min(gaps):.3e} <= {EIGENVALUE_GAP_TOL:.1e}"
@@ -104,24 +150,30 @@ def hamiltonian_from_energies(energies, basis=None) -> SpectralHamiltonian:
 
     With basis omitted the computational basis is used. Energies must be
     strictly ascending, and no two may differ by more than the float range.
+    Energies (k, d) with a basis (k, d, d) build a stack of k Hamiltonians;
+    any other shape of energies is flattened into one list of levels.
     """
-    e = np.asarray(energies, dtype=np.float64).ravel()
-    d = e.shape[0]
+    e = np.asarray(energies, dtype=np.float64)
+    if e.ndim != 2:
+        e = e.ravel()
+    cases, d = e.shape[:-1], e.shape[-1]
     if d > 1:
         # a difference of finite energies can overflow; for ascending levels
         # the largest one is the spread
         with np.errstate(over="ignore"):
-            if np.any(np.diff(e) < 0.0):
+            if np.any(np.diff(e, axis=-1) < 0.0):
                 raise ValueError("energies must be strictly ascending")
-            if not np.isfinite(e[-1] - e[0]):
+            if not np.isfinite(e[..., -1] - e[..., 0]).all():
                 raise ValueError("energy level differences overflow the float range")
     if basis is None:
         v = np.eye(d, dtype=np.complex128)
+        if cases:
+            v = np.broadcast_to(v, (*cases, d, d))
     else:
-        v = require_unitary(basis, name="eigenbasis")
-        if v.shape[0] != d:
-            raise ValueError(f"basis dimension {v.shape[0]} does not match {d} energies")
-    proj = np.einsum("ik,jk->kij", v, v.conj())
+        v = require_unitary(basis, name="eigenbasis", stacked=bool(cases))
+        if v.shape[:-1] != (*cases, d):
+            raise ValueError(f"basis dimension {v.shape[-1]} does not match {d} energies")
+    proj = np.einsum("...ik,...jk->...kij", v, v.conj())
     return SpectralHamiltonian(energies=e, basis=v, projectors=proj)
 
 
@@ -130,13 +182,20 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
 
     The QR phases are fixed so the triangular factor has a positive
     diagonal, which makes the distribution exactly Haar and the output a
-    deterministic function of the seed.
+    deterministic function of the seed. An array of k seeds gives the stack
+    (k, dim, dim): each matrix drawn from its own seed's stream, the QR run
+    once over the stack.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    def ginibre(s):
+        rng = np.random.default_rng(s)
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    stacked = isinstance(seed, np.ndarray) and seed.ndim == 1
+    z = np.stack([ginibre(s) for s in seed]) if stacked else ginibre(seed)
     q, r = np.linalg.qr(z / np.sqrt(2.0))
-    ph = np.diag(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]

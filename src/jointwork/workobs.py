@@ -10,7 +10,9 @@ positive is controlled by gamma against the closed-form bound. The first
 measurement is one NoisyEnergyPovm: its effects A_a are the grid's first
 marginal, and its closed-form roots build the grid and verify the
 log-domain assignment. Energy assignment functions attach work values
-w(a,b) = g(b) - f(a) to the grid.
+w(a,b) = g(b) - f(a) to the grid. Built from stacked Hamiltonians (see
+`operators`), with visibilities and beta (k,), the observable, the
+assignments and the work grids carry a leading case axis.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
-from .operators import SpectralHamiltonian, logsumexp, require_unitary
+from .operators import SpectralHamiltonian, case_axes, every, logsumexp, per_case, require_unitary
 from .povm import (
     NoisyEnergyPovm,
     Povm,
@@ -34,6 +36,11 @@ from .povm import (
 )
 
 POSITIVITY_AUDIT_TOL = -1e-9
+# Blocks whose least eigenvalues lie this close to the least of all are one
+# tie. Effects sum to the identity, so this is 4 ulps at their scale; at
+# d = 2 the blocks W_01 and W_10 (and W_00 and W_11) tie in exact
+# arithmetic and differ by rounding only, up to about 1.4 ulps.
+MIN_EFFECT_TIE = 4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class EnergyAssignment:
 
     @property
     def outcomes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def naive_assignment(h: SpectralHamiltonian) -> EnergyAssignment:
@@ -63,14 +70,39 @@ def corrected_assignment(h: SpectralHamiltonian, visibility: float) -> EnergyAss
     Chosen so the average operator of the noisy POVM reproduces the
     Hamiltonian itself, making average work exact at any visibility.
     """
-    if visibility <= 0.0:
+    if (np.asarray(visibility) <= 0.0).any():
         raise ZeroVisibilityError("corrected assignment needs visibility > 0")
-    e = h.energies
-    ebar = float(np.mean(e))
+    e, vis = h.energies, case_axes(visibility, 1)
+    ebar = e.mean(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         # an overflow to inf or nan fails EnergyAssignment's finiteness check
-        vals = e / visibility - (1.0 - visibility) / visibility * ebar
+        vals = e / vis - (1.0 - vis) / vis * ebar
     return EnergyAssignment(values=vals)
+
+
+def _log_domain(h: SpectralHamiltonian, visibility, beta):
+    """The log-domain test shared by `jarzynski_domain` and
+    `jarzynski_assignment`, over any case axes: (in_domain, lam_min, shift,
+    args), where args = e^{beta E_a - shift} - (1-lam)/d * S must all be
+    positive and shift = max_a beta E_a keeps every exponential finite."""
+    e, d = h.energies, h.dim
+    vis, b = case_axes(visibility, 1), case_axes(beta, 1)
+    shift = (b * e).max(axis=-1, keepdims=True)
+    expo = np.exp(b * e - shift)
+    s = expo.sum(axis=-1, keepdims=True)
+    args = expo - (1.0 - vis) / d * s
+    lam_min = np.maximum(0.0, 1.0 - d * expo.min(axis=-1) / s[..., 0])
+    return (args > 0.0).all(axis=-1), lam_min, shift, args
+
+
+def jarzynski_domain(h: SpectralHamiltonian, visibility, beta):
+    """Where the log-domain assignment of the noisy measurement of h exists:
+    (in_domain, lam_min), per case for a stacked h. in_domain is the test
+    `jarzynski_assignment` raises on; lam_min = 1 - d e^{beta E_min} /
+    sum_a e^{beta E_a} (at least 0) is the least visibility inside it, in
+    closed form."""
+    in_domain, lam_min, _, _ = _log_domain(h, visibility, beta)
+    return per_case(in_domain), per_case(lam_min)
 
 
 def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment:
@@ -84,45 +116,47 @@ def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment
     is fixed at 1/Z, so that at visibility 1 the values collapse to the
     eigenvalues. The identity is verified on construction to 1e-10, through
     the square-root update of `inst`. Raises ValueError unless
-    0 < beta < inf.
+    0 < beta < inf, and AssignmentDomainError outside `jarzynski_domain`
+    (for a stack: when any case is; the error names the first). A stacked
+    inst takes beta (k,).
     """
-    if not 0.0 < beta < np.inf:
+    if not every((0.0 < beta) & (beta < np.inf)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
     h, visibility = inst.hamiltonian, inst.visibility
-    if visibility <= 0.0:
+    if (np.asarray(visibility) <= 0.0).any():
         raise ZeroVisibilityError("log-domain assignment needs visibility > 0")
-    e = h.energies
-    d = h.dim
-    log_z = float(logsumexp(-beta * e))
-    # shifted exponentials keep everything finite for large beta*E
-    shift = float(np.max(beta * e))
-    expo = np.exp(beta * e - shift)
-    s = float(np.sum(expo))
-    args = expo - (1.0 - visibility) / d * s
-    if np.min(args) <= 0.0:
-        offender = int(np.argmin(args))
-        # smallest visibility keeping every log argument positive
-        lam_min = max(0.0, 1.0 - d * float(np.min(expo)) / s)
+    in_domain, lam_min, shift, args = _log_domain(h, visibility, beta)
+    if not every(in_domain):
+        # the first case outside the domain
+        offender = int(np.argmin(args[~in_domain][0]))
+        lam = float(lam_min[~in_domain][0])
         raise AssignmentDomainError(
             f"log argument non-positive for outcome {offender}; "
-            f"needs visibility > {lam_min:.6f}",
+            f"needs visibility > {lam:.6f}",
             outcome=offender,
-            min_visibility=lam_min,
+            min_visibility=lam,
         )
-    vals = (shift - np.log(visibility) + np.log(args)) / beta
+    b = case_axes(beta, 1)
+    vals = (shift - np.log(case_axes(visibility, 1)) + np.log(args)) / b
     assignment = EnergyAssignment(values=vals)
 
-    # verify the defining identity through the actual instrument maps
-    if beta * float(np.max(np.abs(vals))) < 700.0:
-        inv_z = float(np.exp(-log_z))
-        gibbs_p = np.exp(-beta * e - log_z)
-        rho = (h.basis * gibbs_p) @ h.basis.conj().T
+    # verify the defining identity through the actual instrument maps, in
+    # every case whose exponentials stay inside the float range
+    e, d = h.energies, h.dim
+    checked = beta * np.abs(vals).max(axis=-1) < 700.0
+    if checked.any():
+        log_z = np.asarray(logsumexp(-b * e))
+        inv_z = np.exp(-log_z)
+        gibbs_p = np.exp(-b * e - log_z[..., None])
+        rho = (h.basis * gibbs_p[..., None, :]) @ h.basis.conj().swapaxes(-1, -2)
         roots = inst.sqrt_effects
-        acc = np.tensordot(np.exp(beta * vals), roots @ rho @ roots, axes=1)
-        resid = float(np.max(np.abs(acc - inv_z * np.eye(d))))
-        if resid > 1e-10 * max(1.0, inv_z):
+        weights = np.exp(np.where(checked[..., None], b * vals, 0.0))
+        acc = np.einsum("...a,...aij->...ij", weights, roots @ rho[..., None, :, :] @ roots)
+        resid = np.abs(acc - inv_z[..., None, None] * np.eye(d)).max(axis=(-2, -1))
+        over = checked & (resid > 1e-10 * np.maximum(1.0, inv_z))
+        if over.any():
             raise ArithmeticError(
-                f"assignment identity residual {resid:.3e} exceeds tolerance"
+                f"assignment identity residual {np.max(resid[over]):.3e} exceeds tolerance"
             )
     return assignment
 
@@ -155,9 +189,9 @@ class JointWorkObservable:
 
     def work_values(self, f: EnergyAssignment, g: EnergyAssignment) -> np.ndarray:
         """Grid w(a,b) = g(b) - f(a)."""
-        if f.outcomes != self.effects.shape[0] or g.outcomes != self.effects.shape[1]:
+        if f.outcomes != self.effects.shape[-4] or g.outcomes != self.effects.shape[-3]:
             raise ValueError("assignment sizes do not match the outcome grid")
-        return g.values[None, :] - f.values[:, None]
+        return g.values[..., None, :] - f.values[..., :, None]
 
 
 def build_joint_observable(
@@ -168,23 +202,29 @@ def build_joint_observable(
 
     Undoing the first measurement channel forces both marginals exactly. The
     minimum effect eigenvalue over the grid is recorded; it dips negative
-    precisely when gamma exceeds the closed-form bound. Raises
-    NonInvertibleInstrumentError when lam makes the channel singular.
+    precisely when gamma exceeds the closed-form bound. Its index is the
+    first block (a, b), in row-major order, within MIN_EFFECT_TIE of it.
+    Raises NonInvertibleInstrumentError when lam makes the channel singular.
+    Stacked Hamiltonians take unitaries (k, d, d) and a pair of visibility
+    arrays (k,), and give the grid (k, d, d, d, d) with its audit per case.
     """
     d = h_a.dim
     if h_b.dim != d:
         raise ValueError(f"Hamiltonian dims differ: {d} vs {h_b.dim}")
-    uu = require_unitary(u, name="process unitary")
+    uu = require_unitary(u, name="process unitary", stacked=h_a.stacked)
     inst = noisy_effects(h_a, pair.lam)
     require_invertible(inst)
     b_lab = noisy_povm(h_b, pair.gamma)
     b_heis = heisenberg_povm(b_lab, uu)
-    v = h_a.basis
-    _, k = square_root_grid(inst, v.conj().T @ b_heis.effects @ v)
-    w = v @ k @ v.conj().T
-    eigs = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 1, 3, 2)))
-    flat = int(np.argmin(eigs[:, :, 0]))
-    min_idx = (flat // d, flat % d)
+    v = h_a.basis[..., None, :, :]
+    vh = v.conj().swapaxes(-1, -2)
+    _, k = square_root_grid(inst, vh @ b_heis.effects @ v)
+    w = v[..., None, :, :] @ k @ vh[..., None, :, :]
+    least = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))[..., 0]
+    lowest = least.min(axis=(-2, -1))
+    tied = least <= lowest[..., None, None] + MIN_EFFECT_TIE
+    # argmax finds the first tied block
+    flat = np.argmax(tied.reshape(*tied.shape[:-2], d * d), axis=-1)
     dev = check_marginals(w, inst.povm, b_heis)
     return JointWorkObservable(
         unitary=uu.copy(),
@@ -192,7 +232,7 @@ def build_joint_observable(
         instrument=inst,
         b_povm=b_heis,
         b_lab=b_lab,
-        min_effect_eigenvalue=float(eigs[:, :, 0].min()),
-        min_effect_index=min_idx,
+        min_effect_eigenvalue=per_case(lowest),
+        min_effect_index=(per_case(flat // d), per_case(flat % d)),
         marginal_deviation=dev,
     )

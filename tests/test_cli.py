@@ -71,8 +71,8 @@ def test_bounds_csv_file_round_trip(tmp_path, capsys):
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, monkeypatch, argv, target):
     # the target is refused before any work runs, not after it
     cases = []
-    verify_case = cli._verify_case
-    monkeypatch.setattr(cli, "_verify_case", lambda *a: cases.append(a) or verify_case(*a))
+    verify_block = cli._verify_block
+    monkeypatch.setattr(cli, "_verify_block", lambda *a: cases.append(a) or verify_block(*a))
     assert main([*argv, "--output", str(tmp_path / target)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot write --output") and captured.err.count("\n") == 1

@@ -18,7 +18,14 @@ from jointwork.feasibility import (
     square_root_certificate,
 )
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
-from jointwork.povm import Povm, check_marginals, heisenberg_povm, noisy_effects, noisy_povm
+from jointwork.povm import (
+    Povm,
+    check_marginals,
+    divide_coherences,
+    heisenberg_povm,
+    noisy_effects,
+    noisy_povm,
+)
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -306,7 +313,7 @@ def _stack_and_singles(d, lam, n_unitaries=6, seed=3):
 def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        us, (a, b, targets), singles = _stack_and_singles(d, lam)
+        us, (a, b, targets, grid), singles = _stack_and_singles(d, lam)
         assert not (b.flags.writeable or targets.flags.writeable)
         h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
         roots = noisy_effects(h, lam).sqrt_effects
@@ -320,11 +327,16 @@ def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
             assert np.array_equal(
                 targets[k], np.einsum("aij,bjk,akl->abil", roots, b_heis, roots)
             )
+            if grid is not None:
+                # the grid the certificate divides out of the problem's targets
+                diag = np.diagonal(prob.a.effects, axis1=1, axis2=2).real
+                assert np.array_equal(grid[k], divide_coherences(diag, prob.targets))
         if lam < 1.0:
             return
         # the sharp limit has no square-root grid, so its solves reach the
         # kernel, still without a warning
-        assert feasibility._square_root_grids(a.effects, b, targets, 1e-7) is None
+        assert grid is None
+        assert feasibility._square_root_grids(a.effects, b, grid, 1e-7) is None
         calls = []
         kernel = _kernels.dykstra
         monkeypatch.setattr(_kernels, "dykstra", lambda *args: calls.append(1) or kernel(*args))
@@ -356,15 +368,15 @@ def test_stacked_square_root_check_matches_the_certificate(d):
     seen = Counter()
     crit = symmetric_critical_visibility(d)
     for lam in (crit - 0.05, crit + 0.005, crit + 0.02, crit + 0.1):
-        _, (a, b, targets), singles = _stack_and_singles(d, lam, n_unitaries=10)
-        grid, least, residual, passed = feasibility._square_root_grids(
-            a.effects, b, targets, 1e-7
-        )
+        _, (a, b, _, grid), singles = _stack_and_singles(d, lam, n_unitaries=10)
+        least, residual, passed = feasibility._square_root_grids(a.effects, b, grid, 1e-7)
         assert least.shape == residual.shape == passed.shape == (10,)
         for k, prob in enumerate(singles):
-            one = feasibility._square_root_grids(prob.a.effects, prob.b.effects, prob.targets, 1e-7)
-            assert np.array_equal(one[0], grid[k])
-            assert (one[1], one[2], one[3]) == (least[k], residual[k], passed[k])
+            diag = np.diagonal(prob.a.effects, axis1=1, axis2=2).real
+            one_grid = divide_coherences(diag, prob.targets)
+            assert np.array_equal(one_grid, grid[k])
+            one = feasibility._square_root_grids(prob.a.effects, prob.b.effects, one_grid, 1e-7)
+            assert one == (least[k], residual[k], passed[k])
             cert = square_root_certificate(prob)
             assert (cert is not None) == passed[k]
             if cert is not None:

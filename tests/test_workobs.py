@@ -5,12 +5,14 @@ from conftest import random_hamiltonian
 from jointwork.bloch import INVERTIBILITY_CUTOFF, VisibilityPair, gamma_bound, kappa
 from jointwork.errors import AssignmentDomainError, NonInvertibleInstrumentError, ZeroVisibilityError
 from jointwork.gtpm import free_energy_difference, gibbs_state, gtpm_distribution
-from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
+from jointwork.operators import haar_random_unitary, hamiltonian_from_energies, take_cases
 from jointwork.povm import noisy_effects, noisy_povm
 from jointwork.workobs import (
+    MIN_EFFECT_TIE,
     build_joint_observable,
     corrected_assignment,
     jarzynski_assignment,
+    jarzynski_domain,
     naive_assignment,
 )
 
@@ -53,6 +55,50 @@ def test_jarzynski_assignment_domain_error(qubit):
     assert abs(exc.value.min_visibility - 0.4621171572600098) < 1e-12
     with pytest.raises(ZeroVisibilityError):
         jarzynski_assignment(noisy_effects(qubit, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("d, want", [(2, 0.462), (3, 0.730), (4, 0.872)])
+def test_jarzynski_domain_closed_form(d, want):
+    # levels 0..d-1 at beta = 1: lam_min = 1 - d e^0 / sum_a e^a
+    h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
+    lam_min = jarzynski_domain(h, 0.5, 1.0)[1]
+    assert lam_min == 1.0 - d / np.sum(np.exp(np.arange(d)))
+    assert abs(lam_min - want) < 5e-4
+    for lam in (lam_min - 1e-3, lam_min + 1e-3):
+        inside, _ = jarzynski_domain(h, lam, 1.0)
+        assert inside == (lam > lam_min)
+        if inside:
+            jarzynski_assignment(noisy_effects(h, lam), 1.0)
+        else:
+            with pytest.raises(AssignmentDomainError) as exc:
+                jarzynski_assignment(noisy_effects(h, lam), 1.0)
+            assert exc.value.min_visibility == lam_min
+
+
+def test_jarzynski_domain_per_case_matches_the_assignment(rng):
+    # a stack of random cases: the mask is the assignment's own test, case by
+    # case, and the stacked assignment raises on the first case outside
+    k, d = 40, 3
+    e = np.cumsum(rng.random((k, d)) + 0.05, axis=1)
+    lam, beta = rng.uniform(0.3, 0.99, k), rng.uniform(0.3, 2.0, k)
+    h = hamiltonian_from_energies(e, np.broadcast_to(np.eye(d), (k, d, d)))
+    inside, lam_min = jarzynski_domain(h, lam, beta)
+    assert 0 < inside.sum() < k
+    for i in range(k):
+        one = noisy_effects(hamiltonian_from_energies(e[i]), lam[i])
+        try:
+            jarzynski_assignment(one, beta[i])
+            assert inside[i] and lam[i] > lam_min[i]
+        except AssignmentDomainError as exc:
+            assert not inside[i] and exc.min_visibility == lam_min[i]
+    with pytest.raises(AssignmentDomainError) as exc:
+        jarzynski_assignment(noisy_effects(h, lam), beta)
+    assert exc.value.min_visibility == lam_min[np.argmin(inside)]
+    idx = np.flatnonzero(inside)
+    stacked = jarzynski_assignment(noisy_effects(take_cases(h, idx), lam[idx]), beta[idx])
+    for row, i in zip(stacked.values, idx):
+        one = jarzynski_assignment(noisy_effects(hamiltonian_from_energies(e[i]), lam[i]), beta[i])
+        assert np.array_equal(row, one.values)
 
 
 def test_jarzynski_assignment_sharp_limit_recovers_energies(qubit):
@@ -105,11 +151,61 @@ def test_observable_matches_the_lab_frame_reference(d, rng):
     eigs = np.linalg.eigvalsh(0.5 * (want + want.conj().transpose(0, 1, 3, 2)))[:, :, 0]
     assert abs(w.min_effect_eigenvalue - eigs.min()) < 1e-13
     if d == 2:
-        # W_01 and W_10 (and W_00 and W_11) share their least eigenvalue, so
-        # rounding picks the index between the two
+        # W_01 and W_10 (and W_00 and W_11) share their least eigenvalue; the
+        # tie goes to the first of the two in row-major order
+        assert w.min_effect_index[0] == 0
         assert eigs[w.min_effect_index] - eigs.min() < 1e-13
     else:
         assert w.min_effect_index == np.unravel_index(np.argmin(eigs), (d, d))
+
+
+def test_min_effect_index_is_the_first_tied_block(rng):
+    # blocks within MIN_EFFECT_TIE of the least eigenvalue tie, and the first
+    # in row-major order is reported: at d = 2 always one with a = 0
+    for d, n in ((2, 300), (3, 50)):
+        for _ in range(n):
+            h_a, h_b = random_hamiltonian(d, rng), random_hamiltonian(d, rng)
+            u = haar_random_unitary(d, int(rng.integers(2**63)))
+            lam = rng.uniform(0.3, 0.95)
+            w = build_joint_observable(h_a, h_b, u, VisibilityPair(lam, 0.9 * gamma_bound(d, lam)))
+            eff = w.effects
+            least = np.linalg.eigvalsh(0.5 * (eff + eff.conj().transpose(0, 1, 3, 2)))[:, :, 0]
+            first = np.flatnonzero(least.ravel() <= least.min() + MIN_EFFECT_TIE)[0]
+            assert w.min_effect_index == divmod(int(first), d)
+            assert w.min_effect_eigenvalue == least.min()
+            assert d > 2 or w.min_effect_index[0] == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_stacked_chain_matches_the_per_case_calls(d, rng):
+    # one leading case axis through the observable, the Gibbs table and the
+    # assignments gives each case's own results
+    k = 7
+    seeds = rng.integers(2**63, size=(3, k))
+    e = np.cumsum(rng.random((2, k, d)) + 0.05, axis=2)
+    lam, beta = rng.uniform(0.3, 0.95, k), rng.uniform(0.3, 2.0, k)
+    gam = np.array([0.8 * gamma_bound(d, x) for x in lam])
+    h_a = hamiltonian_from_energies(e[0], haar_random_unitary(d, seeds[0]))
+    h_b = hamiltonian_from_energies(e[1], haar_random_unitary(d, seeds[1]))
+    u = haar_random_unitary(d, seeds[2])
+    w = build_joint_observable(h_a, h_b, u, VisibilityPair(lam, gam))
+    p = gtpm_distribution(gibbs_state(h_a, beta).rho, w.instrument, u, w.b_lab)
+    fc = corrected_assignment(h_a, lam)
+    delta_f = free_energy_difference(h_a, h_b, beta)
+    for i in range(k):
+        us = [haar_random_unitary(d, s) for s in seeds[:, i]]
+        assert np.array_equal(us[0], h_a.basis[i]) and np.array_equal(us[2], u[i])
+        one_a = hamiltonian_from_energies(e[0, i], us[0])
+        one_b = hamiltonian_from_energies(e[1, i], us[1])
+        one = build_joint_observable(one_a, one_b, us[2], VisibilityPair(lam[i], gam[i]))
+        assert np.max(np.abs(one.effects - w.effects[i])) < 1e-15
+        assert abs(one.min_effect_eigenvalue - w.min_effect_eigenvalue[i]) < 1e-15
+        assert one.min_effect_index == (w.min_effect_index[0][i], w.min_effect_index[1][i])
+        assert abs(one.marginal_deviation - w.marginal_deviation[i]) < 1e-15
+        p_one = gtpm_distribution(gibbs_state(one_a, beta[i]).rho, one.instrument, us[2], one.b_lab)
+        assert np.max(np.abs(p_one - p[i])) < 1e-15
+        assert np.array_equal(corrected_assignment(one_a, lam[i]).values, fc.values[i])
+        assert free_energy_difference(one_a, one_b, beta[i]) == delta_f[i]
 
 
 def test_observable_needs_an_invertible_channel(qubit):
