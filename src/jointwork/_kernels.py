@@ -1,12 +1,14 @@
 """Hot numeric kernel: the Dykstra projection loop, in batched numpy.
 
-The loop alternates between the product of PSD cones (eigenvalue clipping
-per block) and the affine set of grids with the given row sums, column sums
-and per-block diagonals. Status codes:
+`dykstra(a_eff, b_eff, targets, tol, max_iter)` takes only the inputs that
+vary from solve to solve. It starts at the targets and alternates between
+the product of PSD cones (eigenvalue clipping per block) and the affine set
+of grids with the given row sums, column sums and the targets' per-block
+diagonals. Status codes:
 
     0  converged: gap <= tol
-    1  stalled: no relative improvement over `stall_window` iterations
-       with gap > stall_scale*tol
+    1  stalled: no relative improvement over STALL_WINDOW iterations
+       with gap > STALL_SCALE*tol
     2  iteration budget exhausted
     3  infeasible, with Farkas multipliers that passed the checks of
        `farkas_certificate`
@@ -21,14 +23,14 @@ multipliers are read off it as in Banjac et al., "Infeasibility detection
 in the alternating direction method of multipliers for convex
 optimization", JOTA 183 (2019).
 
-Each call allocates one set of work buffers in `x0`'s dtype and runs every
-step in place, so an iteration allocates only what `np.linalg.eigh`
+Each call allocates one set of work buffers in the targets' dtype and runs
+every step in place, so an iteration allocates only what `np.linalg.eigh`
 returns. The steps are the plain formula's numpy operations on the same
 operands in the same order:
 
     g = x + p;  h = (g + g^H) / 2;  y = V max(w, 0) V^H  with  h = V w V^H
     p = g - y;  g2 = y + q
-    z = g2 - row/n - col/m + tot/(m n),  then  diag(z) = diag_target
+    z = g2 - row/n - col/m + tot/(m n),  then  diag(z) = diag(targets)
     q = g2 - z;  r = y - z;  gap = ||r||;  x = z
 
 so every iterate, and the returned (grid, gap, iterations, code), is
@@ -52,6 +54,9 @@ CERT_EVERY = 10
 # LAPACK's eigenvalue error bound is p(d)*eps*||M||_2 for a modest p; this
 # takes p(d) = 64*d, which also covers the rounding in forming M
 EIG_ERROR_PER_DIM = 64.0
+# the stall of status code 1; the solver's marginal check reads STALL_SCALE too
+STALL_WINDOW = 500
+STALL_SCALE = 10.0
 
 
 def farkas_certificate(r, a_eff, b_eff, diag_target):
@@ -114,19 +119,19 @@ def farkas_certificate(r, a_eff, b_eff, diag_target):
     return ya, zb, dd, value
 
 
-def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
-            stall_scale):
+def dykstra(a_eff, b_eff, targets, tol, max_iter):
     """Alternating projections with Dykstra corrections, batched numpy.
 
     a_eff (m,d,d) and b_eff (n,d,d) are the required row/column sums of the
-    grid; diag_target (m,n,d) pins the per-block diagonals, so the returned
-    grid's diagonals equal it exactly. Needs max_iter >= 1. Returns (grid,
-    gap, iterations, code), with gap the distance between the last PSD
-    iterate and the last affine one and code as in the module docstring.
-    `x0` is not modified.
+    grid; the iteration starts at targets (m,n,d,d), whose real per-block
+    diagonals it pins, so the returned grid's diagonals equal them exactly.
+    Needs max_iter >= 1. Returns (grid, gap, iterations, code), with gap the
+    distance between the last PSD iterate and the last affine one and code
+    as in the module docstring. `targets` is not modified.
     """
-    m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
-    x = np.array(x0, order="C")
+    m, n, d = targets.shape[0], targets.shape[1], targets.shape[2]
+    diag_target = np.ascontiguousarray(np.diagonal(targets, axis1=2, axis2=3).real)
+    x = np.array(targets, order="C")
     g, h, y, g2, z, r = (np.empty_like(x) for _ in range(6))
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -185,7 +190,7 @@ def dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
             since = 0
         else:
             since += 1
-            if since >= stall_window and best > stall_scale * tol:
+            if since >= STALL_WINDOW and best > STALL_SCALE * tol:
                 code = 1
                 break
         x, z = z, x

@@ -69,6 +69,8 @@ EXIT_BROKEN_PIPE = 141
 
 # rng.multinomial takes the trajectory count as a C long
 SAMPLES_LIMIT = 2**63
+# --seed and a spec's "seed" are unsigned 64-bit integers
+SEED_LIMIT = 2**64
 
 # verify runs its battery on stacks of this many cases: on the audit benchmark
 # (about 40 MB) blocks of 25, 50 and 200 added 1.5, 3.3 and 13.4 MB of peak
@@ -288,15 +290,15 @@ def _load_spec(path: str) -> dict:
         "a positive integer below 2**63", 100000,
     )
     spec["seed"] = _field(
-        raw, "seed", path, lambda s: s is None or (_is_int(s) and s >= 0),
-        "a nonnegative integer", None,
+        raw, "seed", path, lambda s: s is None or (_is_int(s) and 0 <= s < SEED_LIMIT),
+        "a nonnegative integer below 2**64", None,
     )
     return spec
 
 
 def _resolve_seed(args, spec_seed=None) -> int:
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
+        if not 0 <= args.seed < SEED_LIMIT:
             raise CliInputError("--seed must be an unsigned 64-bit integer")
         return args.seed
     if spec_seed is not None:

@@ -28,12 +28,16 @@ verdicts:
 The result carries the final gap, the iteration count and whether its
 verdict is certified.
 
-The visibility estimator poses each bisection probe's unitaries as one
-stack: one einsum for the conjugated second measurements, one broadcast for
-the targets, and one square-root check over every grid, each array about
-n_unitaries*m*n*d^2*16 bytes. A probe whose grids all pass runs no solve;
-otherwise the unitaries whose grid failed are solved, most negative least
-grid eigenvalue first, until the first non-feasible verdict.
+`joint_feasibility_problem` poses one unitary, or a stack (k, d, d) of them
+as one FeasibilityProblem whose second measurements and targets carry the
+leading axis (each array about k*m*n*d^2*16 bytes). The certificate and the
+solver take one problem; the solver hands the five-argument kernel
+`_kernels.dykstra(a_eff, b_eff, targets, tol, max_iter)` only its arrays
+and budget. The visibility estimator poses each bisection probe's unitaries
+as one stack and checks every square-root grid at once. A probe whose grids
+all pass runs no solve; otherwise the unitaries whose grid failed are
+solved, most negative least grid eigenvalue first, until the first
+non-feasible verdict.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from ._kernels import STALL_SCALE
 from .operators import (
     SpectralHamiltonian,
     haar_random_unitary,
@@ -53,16 +58,12 @@ from .operators import (
 )
 from .povm import (
     Povm,
-    check_effects,
     check_marginals,
     divide_coherences,
     noisy_effects,
     noisy_povm,
-    square_root_grid,
+    square_root_targets,
 )
-
-STALL_WINDOW = 500
-STALL_SCALE = 10.0
 
 
 class FeasibilityStatus(enum.Enum):
@@ -75,29 +76,29 @@ class FeasibilityStatus(enum.Enum):
 class FeasibilityProblem:
     """Marginal data and diagonal-statistics targets for the joint search,
     in the problem's frame: the projectors P_k of the statistics constraints
-    are the computational-basis ones."""
+    are the computational-basis ones. With second measurements b (k, n, d, d)
+    and targets (k, m, n, d, d) it holds a stack of k problems that share
+    their first measurement a."""
 
     a: Povm  # m outcomes
     b: Povm  # n outcomes
-    targets: np.ndarray  # (m, n, d, d)
+    targets: np.ndarray  # (m, n, d, d), or (k, m, n, d, d)
 
     def __post_init__(self):
         if not (isinstance(self.a, Povm) and isinstance(self.b, Povm)):
             raise TypeError("both marginals must be Povm instances")
+        if self.a.effects.ndim != 3:
+            raise ValueError(f"first marginal must be one POVM, got effects {self.a.effects.shape}")
         if self.a.dim != self.b.dim:
             raise ValueError(f"marginal dimensions differ: {self.a.dim} != {self.b.dim}")
         t = self.targets
         m, n, d = self.a.outcomes, self.b.outcomes, self.a.dim
-        if t.shape != (m, n, d, d):
-            raise ValueError(f"targets shape {t.shape} != ({m}, {n}, {d}, {d})")
-        _check_hermitian_blocks(t)
+        shape = (*self.b.effects.shape[:-3], m, n, d, d)
+        if t.shape != shape:
+            raise ValueError(f"targets shape {t.shape} != {shape}")
+        if np.max(np.abs(t - t.conj().swapaxes(-1, -2))) > 1e-10:
+            raise ValueError("targets must be Hermitian blocks")
         t.setflags(write=False)
-
-
-def _check_hermitian_blocks(targets: np.ndarray) -> None:
-    """FeasibilityProblem's Hermiticity check, over any leading axes."""
-    if np.max(np.abs(targets - targets.conj().swapaxes(-1, -2))) > 1e-10:
-        raise ValueError("targets must be Hermitian blocks")
 
 
 def joint_feasibility_problem(
@@ -111,38 +112,26 @@ def joint_feasibility_problem(
     the computational basis and the second measurement conjugated by U V.
     Visibilities may be 1 here (sharp limit): the search itself never needs
     the inverse channel, so the projective no-go case is expressible.
+    A stack of unitaries (k, d, d) gives the stack of k problems: what does
+    not depend on the unitary is built once, and every check (unitarity,
+    Povm's, the targets' Hermiticity) runs once over the whole stack.
     """
-    a, b, targets, _ = _problem_poser(h_a, h_b, lam, gamma)(np.asarray(u)[None])
-    return FeasibilityProblem(a=a, b=Povm(effects=b[0]), targets=targets[0])
-
-
-def _problem_poser(h_a, h_b, lam, gamma):
-    """joint_feasibility_problem over a stack of unitaries (k, d, d): what
-    does not depend on them is built once, and `pose(us)` returns the shared
-    first measurement A, the conjugated second measurements (k, n, d, d),
-    the targets (k, m, n, d, d) and their square-root grids (k, m, n, d, d;
-    None in the sharp limit), each built once over the stack by
-    `povm.square_root_grid`. The checks of the per-unitary path (unitarity,
-    Povm's, the targets' Hermiticity) run once on the whole stack, with the
-    same tolerances."""
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
     a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
     b_lab = noisy_povm(h_b, gamma)
-
-    def pose(us):
-        frames = require_unitary(np.asarray(us) @ h_a.basis, name="process unitary", stacked=True)
-        if frames.shape[-1] != b_lab.dim:
-            raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
-        b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
-        check_effects(b)
-        targets, grid = square_root_grid(a, b)
-        _check_hermitian_blocks(targets)
-        b.setflags(write=False)
-        targets.setflags(write=False)
-        return a.povm, b, targets, grid
-
-    return pose
+    us = np.asarray(u)
+    one = us.ndim == 2
+    frames = require_unitary(
+        (us[None] if one else us) @ h_a.basis, name="process unitary", stacked=True
+    )
+    if frames.shape[-1] != b_lab.dim:
+        raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
+    b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
+    targets = square_root_targets(a, b)
+    if one:
+        b, targets = b[0], targets[0]
+    return FeasibilityProblem(a=a.povm, b=Povm(effects=b), targets=targets)
 
 
 @dataclass(frozen=True)
@@ -159,19 +148,23 @@ class FeasibilityResult:
         self.grid.setflags(write=False)
 
 
-def _square_root_grids(a_eff, b_eff, grid, tol):
-    """The checks of square-root grids (..., m, n, d, d) of problems that
-    share their first measurement A (m, d, d), over the leading axes of
-    b_eff (..., n, d, d) and grid.
+def _square_root_check(problem: FeasibilityProblem, tol: float):
+    """The square-root grid of a problem, or of each problem of a stack,
+    with its checks (see `square_root_certificate`).
 
-    Returns None when grid is None (some kappa_ij <= 0, see
-    `square_root_certificate`); otherwise (least, residual, passed): per
-    problem the least block eigenvalue, the exact marginal residual and
-    whether both checks hold.
+    Returns None when an A_a is not a nonnegative diagonal or some
+    kappa_ij <= 0 (the sharp limit); otherwise (grid, least, residual,
+    passed): the grid (..., m, n, d, d) and per problem the least block
+    eigenvalue, the exact marginal residual and whether both checks hold.
     """
+    a_eff = problem.a.effects
+    d = a_eff.shape[-1]
+    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
+    if np.any(a_eff[:, ~np.eye(d, dtype=bool)]) or np.any(diag < 0.0):
+        return None
+    grid = divide_coherences(diag, problem.targets)
     if grid is None:
         return None
-    d = a_eff.shape[-1]
     sym = 0.5 * (grid + grid.conj().swapaxes(-1, -2))
     least = np.linalg.eigvalsh(sym)[..., 0]
     eps = np.finfo(least.dtype).eps
@@ -179,10 +172,10 @@ def _square_root_grids(a_eff, b_eff, grid, tol):
     slack = _kernels.EIG_ERROR_PER_DIM * d * eps * np.abs(grid).sum(axis=blocks)
     residual = np.maximum(
         np.abs(grid.sum(axis=-3) - a_eff).max(axis=(-3, -2, -1)),
-        np.abs(grid.sum(axis=-4) - b_eff).max(axis=(-3, -2, -1)),
+        np.abs(grid.sum(axis=-4) - problem.b.effects).max(axis=(-3, -2, -1)),
     )
     passed = np.all(least >= slack, axis=blocks) & (residual <= STALL_SCALE * tol)
-    return least.min(axis=blocks), residual, passed
+    return grid, least.min(axis=blocks), residual, passed
 
 
 def square_root_certificate(
@@ -201,17 +194,15 @@ def square_root_certificate(
     the sum of its absolute entries (`_kernels.farkas_certificate`'s bound)
     and the exact marginal residual is <= STALL_SCALE*tol. Returns None when
     an A_a is not a nonnegative diagonal, when some kappa_ij <= 0 (the sharp
-    limit lam = 1), or when either check fails.
+    limit lam = 1), or when either check fails. Raises ValueError on a stack
+    of problems.
     """
-    a_eff = problem.a.effects
-    diag = np.diagonal(a_eff, axis1=1, axis2=2).real
-    if np.any(a_eff[:, ~np.eye(a_eff.shape[-1], dtype=bool)]) or np.any(diag < 0.0):
+    if problem.targets.ndim != 4:
+        raise ValueError(f"expected one problem, got a stack of targets {problem.targets.shape}")
+    checked = _square_root_check(problem, tol)
+    if checked is None or not checked[3]:
         return None
-    grid = divide_coherences(diag, problem.targets)
-    checked = _square_root_grids(a_eff, problem.b.effects, grid, tol)
-    if checked is None or not checked[2]:
-        return None
-    least, residual, _ = checked
+    grid, least, residual, _ = checked
     return FeasibilityResult(
         status=FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE,
         grid=grid,
@@ -244,17 +235,14 @@ def solve_joint_feasibility(
     The iteration starts at the target grid itself, which already satisfies
     the A-marginal and the diagonal statistics, leaving only the B-marginal
     and positivity to reconcile. Raises ValueError unless tol > 0 and
-    max_iter >= 1.
+    max_iter >= 1, and on a stack of problems.
     """
     _check_solver_args(tol, max_iter)
     certificate = square_root_certificate(problem, tol)
     if certificate is not None:
         return certificate
-    t = problem.targets
-    tdiag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
     grid, gap, iters, code = _kernels.dykstra(
-        problem.a.effects, problem.b.effects, tdiag, t, tol, max_iter,
-        STALL_WINDOW, STALL_SCALE,
+        problem.a.effects, problem.b.effects, problem.targets, tol, max_iter
     )
     residual = check_marginals(grid, problem.a, problem.b)
     feasible = code == 0 and residual <= STALL_SCALE * tol
@@ -299,12 +287,13 @@ def estimate_critical_visibility(
     the requested resolution. Any other verdict fails the probe: INFEASIBLE,
     certified or not, and MAX_ITERATIONS alike (certification, not proof).
 
-    Each probe poses all its unitaries as one stack and checks every
-    square-root grid at once (`square_root_certificate`'s checks); a probe
-    whose grids all pass builds no problem and runs no solve. Otherwise
-    `solve_joint_feasibility` runs on the unitaries whose grid failed, most
-    negative least grid eigenvalue first (a stable sort, so ties keep index
-    order), and the probe stops at its first non-feasible verdict. Each
+    Each probe poses all its unitaries as one stack with
+    `joint_feasibility_problem` and checks every square-root grid at once
+    (`square_root_certificate`'s checks); a probe whose grids all pass runs
+    no solve. Otherwise `solve_joint_feasibility` runs on the unitaries
+    whose grid failed, most negative least grid eigenvalue first (a stable
+    sort, so ties keep index order), and the probe stops at its first
+    non-feasible verdict. Each
     solve is deterministic in its inputs, so the verdicts do not depend on
     the order. The stack's arrays (second measurements, targets, grids)
     take up to n_unitaries*m*n*d^2*16 = n_unitaries*d^4*16 bytes each.
@@ -321,24 +310,19 @@ def estimate_critical_visibility(
     _check_solver_args(tol, max_iter)
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    seeds = rng.integers(0, 2**63 - 1, size=n_unitaries)
-    unitaries = np.stack([haar_random_unitary(d, int(s)) for s in seeds])
+    unitaries = haar_random_unitary(d, rng.integers(0, 2**63 - 1, size=n_unitaries))
 
     def passes(lam):
-        a, b, targets, grid = _problem_poser(h, h, lam, lam)(unitaries)
-        checked = _square_root_grids(a.effects, b, grid, tol)
-        if checked is None:
-            order = range(n_unitaries)
-        else:
-            least, _, passed = checked
-            failed = np.flatnonzero(~passed)
-            order = failed[np.argsort(least[failed], kind="stable")]
+        # every lam < 1 has a square-root grid
+        stack = joint_feasibility_problem(h, h, unitaries, lam, lam)
+        _, least, _, passed = _square_root_check(stack, tol)
+        failed = np.flatnonzero(~passed)
         ok = all(
             solve_joint_feasibility(
-                FeasibilityProblem(a=a, b=Povm(effects=b[i]), targets=targets[i]),
+                FeasibilityProblem(stack.a, Povm(effects=stack.b.effects[i]), stack.targets[i]),
                 tol, max_iter,
             ).status is FeasibilityStatus.FEASIBLE_ZERO_OBJECTIVE
-            for i in order
+            for i in failed[np.argsort(least[failed], kind="stable")]
         )
         if history is not None:
             history.append((lam, ok))

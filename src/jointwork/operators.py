@@ -38,24 +38,24 @@ def as_square_array(m, stacked: bool = False) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_square_array(m)
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
-        raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})"
+        )
     # symmetrize so eigh sees an exactly Hermitian input
     return 0.5 * (a + a.conj().T)
 
 
-def require_unitary(
-    m, tol: float = UNITARITY_TOL, name: str = "matrix", stacked: bool = False
-) -> np.ndarray:
+def require_unitary(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     """m as a unitary matrix; with stacked=True a stack (k, d, d) of them,
     every one held to the same tolerance by one check."""
     a = as_square_array(m, stacked)
     dev = np.max(np.abs(a @ a.conj().swapaxes(-1, -2) - np.eye(a.shape[-1])))
-    if dev > tol:
-        raise NotUnitaryError(f"{name} fails unitarity by {dev:.3e} (tol {tol:.1e})")
+    if dev > UNITARITY_TOL:
+        raise NotUnitaryError(f"{name} fails unitarity by {dev:.3e} (tol {UNITARITY_TOL:.1e})")
     return a
 
 

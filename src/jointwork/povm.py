@@ -4,7 +4,7 @@ The workhorse fact used throughout: in the eigenbasis of the measured
 Hamiltonian the instrument channel X -> sum_a A_a^(1/2) X A_a^(1/2) leaves
 diagonal entries alone and multiplies entry (i, j) by kappa_ij. That makes
 the channel inversion exact (`divide_coherences`) instead of a numerical
-superoperator inversion, and the square-root grid a broadcast.
+superoperator inversion, and the square-root grid a broadcast and a division.
 
 Built from a stacked Hamiltonian (see `operators`), a measurement holds k
 cases on a leading axis, with a visibility per case, and every map below
@@ -177,15 +177,13 @@ def divide_coherences(a_diag, x):
     return x / kap if np.all(kap > 0.0) else None
 
 
-def square_root_grid(inst: NoisyEnergyPovm, b):
+def square_root_targets(inst: NoisyEnergyPovm, b):
     """In inst's measured eigenbasis, for effects b (..., n, d, d) written in
-    it: the targets A_a^(1/2) B_b A_a^(1/2), broadcast from the diagonal
-    roots, and the grid A_a^(1/2) Lambda^-1(B_b) A_a^(1/2) = divide_coherences
-    of the targets (None in the sharp limit), each (..., m, n, d, d). A
-    stacked inst takes b (k, n, d, d)."""
+    it: the targets A_a^(1/2) B_b A_a^(1/2) (..., m, n, d, d), broadcast from
+    the diagonal roots; `divide_coherences` of them is the square-root grid
+    A_a^(1/2) Lambda^-1(B_b) A_a^(1/2). A stacked inst takes b (k, n, d, d)."""
     r = inst.diagonal_roots
-    targets = r[..., :, None, :, None] * b[..., None, :, :, :] * r[..., :, None, None, :]
-    return targets, divide_coherences(inst.diagonal_effects, targets)
+    return r[..., :, None, :, None] * b[..., None, :, :, :] * r[..., :, None, None, :]
 
 
 def inverse_instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:

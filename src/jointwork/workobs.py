@@ -28,11 +28,12 @@ from .povm import (
     NoisyEnergyPovm,
     Povm,
     check_marginals,
+    divide_coherences,
     heisenberg_povm,
     noisy_effects,
     noisy_povm,
     require_invertible,
-    square_root_grid,
+    square_root_targets,
 )
 
 POSITIVITY_AUDIT_TOL = -1e-9
@@ -218,7 +219,8 @@ def build_joint_observable(
     b_heis = heisenberg_povm(b_lab, uu)
     v = h_a.basis[..., None, :, :]
     vh = v.conj().swapaxes(-1, -2)
-    _, k = square_root_grid(inst, vh @ b_heis.effects @ v)
+    targets = square_root_targets(inst, vh @ b_heis.effects @ v)
+    k = divide_coherences(inst.diagonal_effects, targets)
     w = v[..., None, :, :] @ k @ vh[..., None, :, :]
     least = np.linalg.eigvalsh(0.5 * (w + w.conj().swapaxes(-1, -2)))[..., 0]
     lowest = least.min(axis=(-2, -1))

@@ -293,6 +293,22 @@ def test_singular_measurement_channel_is_an_input_error(tmp_path, capsys, comman
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "sample"])
+def test_spec_seed_is_bounded_like_the_seed_option(tmp_path, capsys, command):
+    # a seed the header records must be one that --seed takes back
+    for seed in (2**64, 2**65):
+        spec = _write_spec(tmp_path, seed=seed)
+        assert main([command, spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {spec}.seed: expected a nonnegative integer below 2**64\n"
+        )
+    out = tmp_path / "r.jsonl"
+    spec = _write_spec(tmp_path, seed=2**64 - 1, samples=100)
+    assert main([command, spec, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text().splitlines()[0])["seed"] == 2**64 - 1
+
+
 def test_run_with_haar_seed(tmp_path, capsys):
     spec = _write_spec(tmp_path, unitary={"haar_seed": 5})
     out = tmp_path / "r.jsonl"

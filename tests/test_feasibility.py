@@ -9,7 +9,6 @@ from jointwork.bloch import kappa, symmetric_critical_visibility
 from jointwork.errors import NotUnitaryError
 from jointwork.feasibility import (
     STALL_SCALE,
-    STALL_WINDOW,
     FeasibilityProblem,
     FeasibilityStatus,
     estimate_critical_visibility,
@@ -236,12 +235,7 @@ def test_qubit_square_root_verdicts_agree_with_busch_and_the_kernel():
             assert psd_grid
         elif criterion >= 2.05:
             assert not psd_grid
-        t = prob.targets
-        tdiag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
-        *_, code = _kernels.dykstra(
-            prob.a.effects, prob.b.effects, tdiag, t, 1e-7, 1500,
-            STALL_WINDOW, STALL_SCALE,
-        )
+        *_, code = _kernels.dykstra(prob.a.effects, prob.b.effects, prob.targets, 1e-7, 1500)
         assert code == (0 if psd_grid else 3)
         seen[psd_grid] += 1
     assert seen[True] >= 20 and seen[False] >= 20
@@ -250,12 +244,9 @@ def test_qubit_square_root_verdicts_agree_with_busch_and_the_kernel():
 def test_kernel_grid_keeps_the_pinned_diagonals():
     # exact equality is why the solver reports no diagonal-statistics mismatch
     prob = _qubit_problem(0.6)
-    target = np.ascontiguousarray(np.diagonal(prob.targets, axis1=2, axis2=3).real)
-    for x0, max_iter in ((prob.targets, 20000), (np.zeros_like(prob.targets), 3)):
-        grid, *_ = _kernels.dykstra(
-            prob.a.effects, prob.b.effects, target, x0, 1e-7, max_iter,
-            STALL_WINDOW, STALL_SCALE,
-        )
+    target = np.diagonal(prob.targets, axis1=2, axis2=3).real
+    for max_iter in (20000, 3):
+        grid, *_ = _kernels.dykstra(prob.a.effects, prob.b.effects, prob.targets, 1e-7, max_iter)
         assert np.array_equal(np.diagonal(grid, axis1=2, axis2=3), target)
 
 
@@ -303,7 +294,7 @@ def test_rotated_first_hamiltonian_is_posed_in_its_eigenbasis(d):
 def _stack_and_singles(d, lam, n_unitaries=6, seed=3):
     h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
     us = np.stack([haar_random_unitary(d, seed + k) for k in range(n_unitaries)])
-    stack = feasibility._problem_poser(h, h, lam, lam)(us)
+    stack = joint_feasibility_problem(h, h, us, lam, lam)
     singles = [joint_feasibility_problem(h, h, u, lam, lam) for u in us]
     return us, stack, singles
 
@@ -313,12 +304,15 @@ def _stack_and_singles(d, lam, n_unitaries=6, seed=3):
 def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        us, (a, b, targets, grid), singles = _stack_and_singles(d, lam)
+        us, stack, singles = _stack_and_singles(d, lam)
+        b, targets = stack.b.effects, stack.targets
+        assert b.shape[0] == targets.shape[0] == len(us)
         assert not (b.flags.writeable or targets.flags.writeable)
+        checked = feasibility._square_root_check(stack, 1e-7)
         h = hamiltonian_from_energies(np.arange(d, dtype=np.float64))
         roots = noisy_effects(h, lam).sqrt_effects
         for k, prob in enumerate(singles):
-            assert np.array_equal(a.effects, prob.a.effects)
+            assert np.array_equal(stack.a.effects, prob.a.effects)
             assert np.array_equal(b[k], prob.b.effects)
             assert np.array_equal(targets[k], prob.targets)
             # the per-unitary formulas, one matrix at a time
@@ -327,16 +321,16 @@ def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
             assert np.array_equal(
                 targets[k], np.einsum("aij,bjk,akl->abil", roots, b_heis, roots)
             )
-            if grid is not None:
+            if checked is not None:
                 # the grid the certificate divides out of the problem's targets
                 diag = np.diagonal(prob.a.effects, axis1=1, axis2=2).real
-                assert np.array_equal(grid[k], divide_coherences(diag, prob.targets))
+                assert np.array_equal(checked[0][k], divide_coherences(diag, prob.targets))
         if lam < 1.0:
+            assert checked is not None
             return
         # the sharp limit has no square-root grid, so its solves reach the
         # kernel, still without a warning
-        assert grid is None
-        assert feasibility._square_root_grids(a.effects, b, grid, 1e-7) is None
+        assert checked is None
         calls = []
         kernel = _kernels.dykstra
         monkeypatch.setattr(_kernels, "dykstra", lambda *args: calls.append(1) or kernel(*args))
@@ -347,14 +341,17 @@ def test_stacked_pose_is_bitwise_the_per_unitary_problems(d, lam, monkeypatch):
 
 def test_stacked_pose_checks_the_whole_stack():
     h = hamiltonian_from_energies([0.0, 1.0, 2.0])
-    pose = feasibility._problem_poser(h, h, 0.6, 0.6)
     us = np.stack([haar_random_unitary(3, k) for k in range(4)])
+
+    def pose(u):
+        return joint_feasibility_problem(h, h, u, 0.6, 0.6)
+
     bad = us.copy()
     bad[2] *= 1.001
     with pytest.raises(NotUnitaryError):
         pose(bad)
     with pytest.raises(ValueError):
-        pose(us[0])  # one matrix, not a stack
+        pose(us[None])  # a stack of stacks
     with pytest.raises(ValueError):
         pose(np.stack([haar_random_unitary(2, k) for k in range(4)]))
     nonfinite = us.copy()
@@ -363,20 +360,37 @@ def test_stacked_pose_checks_the_whole_stack():
         pose(nonfinite)
 
 
+def test_stacked_problem_is_refused_where_one_problem_is_meant():
+    _, stack, singles = _stack_and_singles(3, 0.6, n_unitaries=4)
+    shape = r"\(4, 3, 3, 3, 3\)"
+    with pytest.raises(ValueError, match=shape):
+        square_root_certificate(stack)
+    with pytest.raises(ValueError, match=shape):
+        solve_joint_feasibility(stack)
+    # the problems of a stack share one first measurement
+    a = Povm(effects=np.stack([singles[0].a.effects] * 4))
+    with pytest.raises(ValueError, match=r"\(4, 3, 3, 3\)"):
+        FeasibilityProblem(a=a, b=stack.b, targets=stack.targets)
+    # a stack of second measurements takes a stack of targets
+    with pytest.raises(ValueError):
+        FeasibilityProblem(a=stack.a, b=stack.b, targets=singles[0].targets)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_stacked_square_root_check_matches_the_certificate(d):
     seen = Counter()
     crit = symmetric_critical_visibility(d)
     for lam in (crit - 0.05, crit + 0.005, crit + 0.02, crit + 0.1):
-        _, (a, b, _, grid), singles = _stack_and_singles(d, lam, n_unitaries=10)
-        least, residual, passed = feasibility._square_root_grids(a.effects, b, grid, 1e-7)
+        _, stack, singles = _stack_and_singles(d, lam, n_unitaries=10)
+        grid, least, residual, passed = feasibility._square_root_check(stack, 1e-7)
         assert least.shape == residual.shape == passed.shape == (10,)
         for k, prob in enumerate(singles):
             diag = np.diagonal(prob.a.effects, axis1=1, axis2=2).real
             one_grid = divide_coherences(diag, prob.targets)
             assert np.array_equal(one_grid, grid[k])
-            one = feasibility._square_root_grids(prob.a.effects, prob.b.effects, one_grid, 1e-7)
-            assert one == (least[k], residual[k], passed[k])
+            one = feasibility._square_root_check(prob, 1e-7)
+            assert np.array_equal(one[0], one_grid)
+            assert one[1:] == (least[k], residual[k], passed[k])
             cert = square_root_certificate(prob)
             assert (cert is not None) == passed[k]
             if cert is not None:
@@ -498,6 +512,21 @@ def test_estimate_is_pinned_and_solves_failed_grids_most_negative_first(d, seed,
         worst = min(problems, key=lambda p: _least_grid_eigenvalue(p, d, lam))
         assert _least_grid_eigenvalue(worst, d, lam) < 0.0
         assert np.array_equal(first_kernel_b[i], worst.b.effects)
+
+
+def test_estimate_poses_each_probe_once_with_the_public_function(monkeypatch):
+    calls = []
+    pose = feasibility.joint_feasibility_problem
+
+    def counted_pose(h_a, h_b, u, lam, gamma):
+        calls.append(np.shape(u))
+        return pose(h_a, h_b, u, lam, gamma)
+
+    monkeypatch.setattr(feasibility, "joint_feasibility_problem", counted_pose)
+    history = []
+    estimate_critical_visibility(3, 7, seed=2, resolution=0.01, max_iter=1500, history=history)
+    # one stacked pose of all the unitaries per probe
+    assert calls == [(7, 3, 3)] * len(history)
 
 
 def test_estimate_stops_at_float_resolution():

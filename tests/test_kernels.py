@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from jointwork import _kernels
-from jointwork.feasibility import STALL_SCALE, STALL_WINDOW, joint_feasibility_problem
+from jointwork.feasibility import joint_feasibility_problem
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
 
 HAD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_window,
-                       stall_scale, certificates=None):
-    # the loop as the plain formula, with fresh arrays at every step; a
-    # certificate that stops it is appended to `certificates` when given
-    m, n, d = x0.shape[0], x0.shape[1], x0.shape[2]
-    x = x0.copy()
+def _reference_dykstra(a_eff, b_eff, targets, tol, max_iter, certificates=None):
+    # the loop as the plain formula, with fresh arrays at every step, from
+    # the targets and with their diagonals pinned; a certificate that stops
+    # it is appended to `certificates` when given
+    m, n, d = targets.shape[0], targets.shape[1], targets.shape[2]
+    diag_target = np.diagonal(targets, axis1=2, axis2=3).real
+    x = targets.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     didx = np.arange(d)
@@ -54,7 +55,7 @@ def _reference_dykstra(a_eff, b_eff, diag_target, x0, tol, max_iter, stall_windo
             since = 0
         else:
             since += 1
-            if since >= stall_window and best > stall_scale * tol:
+            if since >= _kernels.STALL_WINDOW and best > _kernels.STALL_SCALE * tol:
                 code = 1
                 break
         x = z
@@ -69,9 +70,8 @@ def _kernel_inputs(d, lam, u, real=False):
     if real:
         assert not np.any(t.imag) and not np.any(b.imag)
         a, b, t = a.real, b.real, t.real
-    diag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
-    # x0 in the targets' memory order, as the solver passes them
-    return a, b, diag, t.copy(order="K")
+    # in the targets' memory order, as the solver passes them
+    return a, b, t.copy(order="K")
 
 
 # a real orthogonal unitary keeps every array of the problem real
@@ -101,9 +101,9 @@ def test_active_backend_value():
 
 @pytest.mark.parametrize("d, lam, u, real, max_iter, code", CASES)
 def test_dykstra_is_bitwise_the_plain_formula(d, lam, u, real, max_iter, code):
-    a, b, diag, x0 = _kernel_inputs(d, lam, u, real)
-    before = x0.copy()
-    args = (a, b, diag, x0, 1e-7, max_iter, STALL_WINDOW, STALL_SCALE)
+    a, b, t = _kernel_inputs(d, lam, u, real)
+    before = t.copy()
+    args = (a, b, t, 1e-7, max_iter)
     grid, gap, iters, got_code = _kernels.dykstra(*args)
     ref_grid, ref_gap, ref_iters, ref_code = _reference_dykstra(*args)
     assert got_code == ref_code == code
@@ -112,16 +112,16 @@ def test_dykstra_is_bitwise_the_plain_formula(d, lam, u, real, max_iter, code):
     assert grid.dtype == ref_grid.dtype == (np.float64 if real else np.complex128)
     assert grid.shape == ref_grid.shape
     assert grid.tobytes() == ref_grid.tobytes()
-    assert np.array_equal(x0, before)
+    assert np.array_equal(t, before)
 
 
 @pytest.mark.parametrize("d, lam, u, real, max_iter, code",
                          [c for c in CASES if c[-1] == 3])
 def test_certificate_is_a_farkas_proof(d, lam, u, real, max_iter, code):
-    a, b, diag, x0 = _kernel_inputs(d, lam, u, real)
+    a, b, t = _kernel_inputs(d, lam, u, real)
+    diag = np.diagonal(t, axis1=2, axis2=3).real
     certificates = []
-    grid, *_ = _reference_dykstra(a, b, diag, x0, 1e-7, max_iter, STALL_WINDOW,
-                                  STALL_SCALE, certificates)
+    grid, *_ = _reference_dykstra(a, b, t, 1e-7, max_iter, certificates)
     (y, z, dd, value), = certificates
     m, n = a.shape[0], b.shape[0]
     for mult in (y, z):
@@ -143,13 +143,14 @@ def test_certificate_is_a_farkas_proof(d, lam, u, real, max_iter, code):
 def test_no_certificate_for_a_feasible_problem():
     # a certificate here would contradict the grid the solver converges to,
     # whatever displacement it is read from
-    a, b, diag, x0 = _kernel_inputs(3, 0.6, haar_random_unitary(3, 1))
-    *_, code = _kernels.dykstra(a, b, diag, x0, 1e-7, 1500, STALL_WINDOW, STALL_SCALE)
+    a, b, t = _kernel_inputs(3, 0.6, haar_random_unitary(3, 1))
+    diag = np.ascontiguousarray(np.diagonal(t, axis1=2, axis2=3).real)
+    *_, code = _kernels.dykstra(a, b, t, 1e-7, 1500)
     assert code == 0
-    assert _kernels.farkas_certificate(np.zeros_like(x0), a, b, diag) is None
+    assert _kernels.farkas_certificate(np.zeros_like(t), a, b, diag) is None
     rng = np.random.default_rng(0)
     for _ in range(200):
-        r = rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape)
+        r = rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape)
         r = r + r.conj().swapaxes(-1, -2)
         assert _kernels.farkas_certificate(r, a, b, diag) is None
         assert _kernels.farkas_certificate(r @ r, a, b, diag) is None
