@@ -168,7 +168,7 @@ def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int =
     return float(min(best, val.min(initial=np.inf)))
 
 
-def choi_positivity_margin(d: int, pair: VisibilityPair, restarts: int = 8, seed: int = 0) -> float:
+def choi_positivity_margin(d: int, pair: VisibilityPair) -> float:
     """Minimal product-state expectation of the Choi matrix.
 
     Computed in closed form, 1 - gamma + d*gamma/2 - d*gamma/(2*kappa), and
@@ -177,7 +177,7 @@ def choi_positivity_margin(d: int, pair: VisibilityPair, restarts: int = 8, seed
     two derivations of the visibility bound drifted apart. choi_matrix
     raises NonInvertibleInstrumentError when lam leaves no inverse channel.
     """
-    numeric = product_state_minimum(choi_matrix(d, pair), d, restarts=restarts, seed=seed)
+    numeric = product_state_minimum(choi_matrix(d, pair), d)
     k = kappa(d, pair.lam)
     g = pair.gamma
     closed = 1.0 - g + d * g / 2.0 - d * g / (2.0 * k)

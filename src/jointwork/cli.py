@@ -343,6 +343,19 @@ def _two_point_chain(h_a, h_b, u, pair: VisibilityPair, beta: float):
     return w, gibbs, gtpm_distribution(gibbs.rho, w.instrument, u, w.b_lab)
 
 
+def _sampled_chain(spec: dict, n: int, seed: int):
+    """The pipeline `run` and `sample` share: the measured chain of the
+    spec's experiment, n trajectories sampled from its two-point table at
+    seed, and the header fields both reports start with. Returns (fields, w,
+    gibbs, p_exact, counts, freq)."""
+    pair, beta = spec["pair"], spec["beta"]
+    w, gibbs, p_exact = _two_point_chain(spec["h_a"], spec["h_b"], spec["unitary"], pair, beta)
+    counts = sample_gtpm(p_exact, n, seed)
+    fields = {"dimension": spec["dimension"], "lambda": pair.lam, "gamma": pair.gamma,
+              "beta": beta, "samples": n}
+    return fields, w, gibbs, p_exact, counts, counts / counts.sum()
+
+
 def _jarzynski_terms(w, h_a, h_b, beta: float):
     """exp(-beta w(a,b)) over the grid for the log-domain first assignment
     and the bare second one, the reference exp(-beta dF), and dF. Raises
@@ -392,8 +405,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_run(args) -> int:
     spec = _load_spec(args.spec)
-    d, pair, beta, n = spec["dimension"], spec["pair"], spec["beta"], spec["samples"]
-    h_a, h_b, u = spec["h_a"], spec["h_b"], spec["unitary"]
+    d, pair, beta = spec["dimension"], spec["pair"], spec["beta"]
+    h_a, h_b = spec["h_a"], spec["h_b"]
     seed = _resolve_seed(args, spec["seed"])
 
     bound = gamma_bound(d, pair.lam)
@@ -404,9 +417,7 @@ def cmd_run(args) -> int:
             f"lambda={pair.lam}; rerun with --force to audit the violation"
         )
 
-    w, gibbs, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(p_exact, n, seed)
-    freq = counts / counts.sum()
+    fields, w, gibbs, p_exact, _, freq = _sampled_chain(spec, spec["samples"], seed)
 
     f_assign = _make_assignment("f", spec["f_kind"], h_a, pair.lam, beta, w.instrument)
     # the log-domain kind is rejected for g when the file is read
@@ -415,7 +426,6 @@ def cmd_run(args) -> int:
     work_exact = float(np.sum(p_exact * wvals))
     work_sampled = float(np.sum(freq * wvals))
 
-    fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     fields.update((k, spec[k]) for k in ("haar_seed", "f_kind", "g_kind"))
     records = [
         _header("run", seed, fields),
@@ -581,14 +591,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
-    if args.dim < 2:
-        raise CliInputError("--dim must be >= 2")
-    if args.unitaries < 1:
-        raise CliInputError("--unitaries must be >= 1")
-    if not (0.0 < args.tol < math.inf and 0.0 < args.resolution < math.inf):
-        raise CliInputError("--tol and --resolution must be positive and finite")
-    if args.max_iter < 1:
-        raise CliInputError("--max-iter must be >= 1")
     seed = _resolve_seed(args)
     history = []
     try:
@@ -596,6 +598,9 @@ def cmd_feasibility(args) -> int:
             args.dim, args.unitaries, tol=args.tol, seed=seed, resolution=args.resolution,
             max_iter=args.max_iter, history=history,
         )
+    except ValueError as exc:
+        # the estimator checks its own arguments
+        raise CliInputError(str(exc)) from exc
     except RuntimeError as exc:
         print(f"error: solver failed to bracket the transition: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -612,20 +617,15 @@ def cmd_feasibility(args) -> int:
 
 def cmd_sample(args) -> int:
     spec = _load_spec(args.spec)
-    d, pair, beta = spec["dimension"], spec["pair"], spec["beta"]
-    h_a, h_b, u = spec["h_a"], spec["h_b"], spec["unitary"]
     n = args.samples if args.samples is not None else spec["samples"]
     if not 1 <= n < SAMPLES_LIMIT:
         raise CliInputError("--samples must be >= 1 and below 2**63")
     seed = _resolve_seed(args, spec["seed"])
-    _, _, p_exact = _two_point_chain(h_a, h_b, u, pair, beta)
-    counts = sample_gtpm(p_exact, n, seed)
-    freq = counts / counts.sum()
+    fields, _, _, p_exact, counts, freq = _sampled_chain(spec, n, seed)
     dev = float(np.max(np.abs(freq - p_exact)))
-    fields = {"dimension": d, "lambda": pair.lam, "gamma": pair.gamma, "beta": beta, "samples": n}
     records = [_header("sample", seed, fields)]
-    for a in range(d):
-        for b in range(d):
+    for a in range(spec["dimension"]):
+        for b in range(spec["dimension"]):
             count, f, exact = int(counts[a, b]), float(freq[a, b]), float(p_exact[a, b])
             records.append(
                 {"record": "cell", "a": a, "b": b, "count": count, "frequency": f, "exact": exact}

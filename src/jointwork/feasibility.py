@@ -30,7 +30,9 @@ verdict is certified.
 
 `joint_feasibility_problem` poses one unitary, or a stack (k, d, d) of them
 as one FeasibilityProblem whose second measurements and targets carry the
-leading axis (each array about k*m*n*d^2*16 bytes). The certificate and the
+leading axis (each array about k*m*n*d^2*16 bytes), through
+`povm.heisenberg_povm` and `povm.square_root_targets`; the square-root
+check's residual is `povm.check_marginals`. The certificate and the
 solver take one problem; the solver hands the five-argument kernel
 `_kernels.dykstra(a_eff, b_eff, targets, tol, max_iter)` only its arrays
 and budget. The visibility estimator poses each bisection probe's unitaries
@@ -50,16 +52,12 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import STALL_SCALE
-from .operators import (
-    SpectralHamiltonian,
-    haar_random_unitary,
-    hamiltonian_from_energies,
-    require_unitary,
-)
+from .operators import SpectralHamiltonian, haar_random_unitary, hamiltonian_from_energies
 from .povm import (
     Povm,
     check_marginals,
     divide_coherences,
+    heisenberg_povm,
     noisy_effects,
     noisy_povm,
     square_root_targets,
@@ -119,19 +117,8 @@ def joint_feasibility_problem(
     if not (0.0 < lam <= 1.0 and 0.0 < gamma <= 1.0):
         raise ValueError(f"visibilities must lie in (0,1], got ({lam}, {gamma})")
     a = noisy_effects(hamiltonian_from_energies(h_a.energies), lam)
-    b_lab = noisy_povm(h_b, gamma)
-    us = np.asarray(u)
-    one = us.ndim == 2
-    frames = require_unitary(
-        (us[None] if one else us) @ h_a.basis, name="process unitary", stacked=True
-    )
-    if frames.shape[-1] != b_lab.dim:
-        raise ValueError(f"unitary dim {frames.shape[-1]} != POVM dim {b_lab.dim}")
-    b = np.einsum("nji,ajk,nkl->nail", frames.conj(), b_lab.effects, frames)
-    targets = square_root_targets(a, b)
-    if one:
-        b, targets = b[0], targets[0]
-    return FeasibilityProblem(a=a.povm, b=Povm(effects=b), targets=targets)
+    b = heisenberg_povm(noisy_povm(h_b, gamma), np.asarray(u) @ h_a.basis)
+    return FeasibilityProblem(a=a.povm, b=b, targets=square_root_targets(a, b.effects))
 
 
 @dataclass(frozen=True)
@@ -170,10 +157,7 @@ def _square_root_check(problem: FeasibilityProblem, tol: float):
     eps = np.finfo(least.dtype).eps
     blocks = (-2, -1)
     slack = _kernels.EIG_ERROR_PER_DIM * d * eps * np.abs(grid).sum(axis=blocks)
-    residual = np.maximum(
-        np.abs(grid.sum(axis=-3) - a_eff).max(axis=(-3, -2, -1)),
-        np.abs(grid.sum(axis=-4) - problem.b.effects).max(axis=(-3, -2, -1)),
-    )
+    residual = check_marginals(grid, problem.a, problem.b)
     passed = np.all(least >= slack, axis=blocks) & (residual <= STALL_SCALE * tol)
     return grid, least.min(axis=blocks), residual, passed
 

@@ -28,9 +28,9 @@ UNITARITY_TOL = 1e-10
 
 def as_square_array(m, stacked: bool = False) -> np.ndarray:
     """m as a finite complex128 square matrix, or with stacked=True as a
-    stack (k, d, d) of them."""
+    stack (k, d, d) of them; an empty one is refused."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2]:
+    if a.ndim != 2 + stacked or a.shape[-1] != a.shape[-2] or not a.size:
         kind = "a stack of square matrices" if stacked else "a square matrix"
         raise ValueError(f"expected {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():

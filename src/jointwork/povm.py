@@ -199,9 +199,10 @@ def inverse_instrument_channel(inst: NoisyEnergyPovm, x) -> np.ndarray:
 
 
 def heisenberg_povm(b: Povm, u) -> Povm:
-    """Conjugated POVM with effects U^dag B_b U; a stack of POVMs (k, n, d, d)
-    takes a stack of unitaries (k, d, d)."""
-    uu = require_unitary(u, name="process unitary", stacked=b.effects.ndim == 4)
+    """Conjugated POVM with effects U^dag B_b U; a stack of unitaries (k, d, d)
+    gives k conjugates (k, n, d, d), of one POVM or of a stack of k."""
+    stacked = b.effects.ndim == 4 or np.ndim(u) == 3
+    uu = require_unitary(u, name="process unitary", stacked=stacked)
     if uu.shape[-1] != b.dim:
         raise ValueError(f"unitary dim {uu.shape[-1]} != POVM dim {b.dim}")
     eff = np.einsum("...ji,...ajk,...kl->...ail", uu.conj(), b.effects, uu)

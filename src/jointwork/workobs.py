@@ -23,6 +23,7 @@ import numpy as np
 
 from .bloch import VisibilityPair
 from .errors import AssignmentDomainError, ZeroVisibilityError
+from .gtpm import _check_beta, gibbs_state
 from .operators import SpectralHamiltonian, case_axes, every, logsumexp, per_case, require_unitary
 from .povm import (
     NoisyEnergyPovm,
@@ -121,8 +122,7 @@ def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment
     (for a stack: when any case is; the error names the first). A stacked
     inst takes beta (k,).
     """
-    if not every((0.0 < beta) & (beta < np.inf)):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     h, visibility = inst.hamiltonian, inst.visibility
     if (np.asarray(visibility) <= 0.0).any():
         raise ZeroVisibilityError("log-domain assignment needs visibility > 0")
@@ -148,8 +148,7 @@ def jarzynski_assignment(inst: NoisyEnergyPovm, beta: float) -> EnergyAssignment
     if checked.any():
         log_z = np.asarray(logsumexp(-b * e))
         inv_z = np.exp(-log_z)
-        gibbs_p = np.exp(-b * e - log_z[..., None])
-        rho = (h.basis * gibbs_p[..., None, :]) @ h.basis.conj().swapaxes(-1, -2)
+        rho = gibbs_state(h, beta).rho
         roots = inst.sqrt_effects
         weights = np.exp(np.where(checked[..., None], b * vals, 0.0))
         acc = np.einsum("...a,...aij->...ij", weights, roots @ rho[..., None, :, :] @ roots)

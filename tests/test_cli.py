@@ -408,16 +408,26 @@ def test_verify_rejects_bad_dims(capsys):
 
 
 def test_feasibility_rejects_bad_limits(capsys):
-    assert main(["feasibility", "--dim", "1"]) == 2
-    assert main(["feasibility", "--unitaries", "0"]) == 2
-    assert main(["feasibility", "--tol", "0"]) == 2
-    assert main(["feasibility", "--resolution", "0"]) == 2
+    # the estimator checks its own arguments; the command reports its message
+    cases = [
+        (["--dim", "1"], "dimension must be >= 2, got 1"),
+        (["--unitaries", "0"], "need at least one unitary, got 0"),
+        (["--tol", "0"], "tol must be positive and finite, got 0.0"),
+        (["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (["--max-iter", "-5"], "max_iter must be >= 1, got -5"),
+    ]
     for bad in ("nan", "inf", "-inf"):
-        assert main(["feasibility", f"--tol={bad}"]) == 2
-        assert main(["feasibility", f"--resolution={bad}", "--max-iter", "50"]) == 2
-    assert main(["feasibility", "--max-iter", "0"]) == 2
-    assert main(["feasibility", "--max-iter", "-5"]) == 2
-    capsys.readouterr()
+        cases.append(([f"--tol={bad}"], f"tol must be positive and finite, got {bad}"))
+        cases.append(
+            ([f"--resolution={bad}", "--max-iter", "50"],
+             f"resolution must be positive and finite, got {bad}")
+        )
+    for argv, message in cases:
+        assert main(["feasibility", *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n", argv
 
 
 def test_feasibility_command(tmp_path, capsys):

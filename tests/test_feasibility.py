@@ -16,7 +16,7 @@ from jointwork.feasibility import (
     solve_joint_feasibility,
     square_root_certificate,
 )
-from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
+from jointwork.operators import haar_random_unitary, hamiltonian_from_energies, require_unitary
 from jointwork.povm import (
     Povm,
     check_marginals,
@@ -358,6 +358,14 @@ def test_stacked_pose_checks_the_whole_stack():
     nonfinite[1, 0, 0] = np.nan
     with pytest.raises(ValueError):
         pose(nonfinite)
+    # an empty stack is refused by its shape, not by a reduction over nothing
+    empty = r"got shape \(0, 3, 3\)"
+    with pytest.raises(ValueError, match=empty):
+        pose(us[:0])
+    with pytest.raises(ValueError, match=empty):
+        require_unitary(us[:0], stacked=True)
+    with pytest.raises(ValueError, match=empty):
+        hamiltonian_from_energies(np.zeros((0, 3)), us[:0])
 
 
 def test_stacked_problem_is_refused_where_one_problem_is_meant():

@@ -116,6 +116,12 @@ def test_heisenberg_povm(ladder3):
     for a in range(3):
         want = u.conj().T @ b.effects[a] @ u
         assert np.allclose(hb.effects[a], want, atol=1e-13)
+    # one POVM with a stack of unitaries: bitwise the per-unitary calls
+    us = haar_random_unitary(3, np.arange(4))
+    stacked = heisenberg_povm(b, us).effects
+    assert stacked.shape == (4, 3, 3, 3)
+    for k in range(4):
+        assert np.array_equal(stacked[k], heisenberg_povm(b, us[k]).effects)
 
 
 def test_check_marginals(ladder3):
