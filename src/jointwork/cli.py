@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -356,13 +357,15 @@ def _sampled_chain(spec: dict, n: int, seed: int):
     return fields, w, gibbs, p_exact, counts, counts / counts.sum()
 
 
-def _jarzynski_terms(w, h_a, h_b, beta: float):
+def _jarzynski_terms(w, h_a, h_b, beta: float, f_jar: EnergyAssignment | None = None):
     """exp(-beta w(a,b)) over the grid for the log-domain first assignment
-    and the bare second one, the reference exp(-beta dF), and dF. Raises
-    AssignmentDomainError when the first visibility is too small for the
-    log-domain values, and OverflowError when an exponential leaves the
-    float range."""
-    f_jar = jarzynski_assignment(w.instrument, beta)
+    and the bare second one, the reference exp(-beta dF), and dF. The first
+    assignment is f_jar when the caller has built it from w.instrument at
+    beta, and is built here otherwise. Raises AssignmentDomainError when the
+    first visibility is too small for the log-domain values, and
+    OverflowError when an exponential leaves the float range."""
+    if f_jar is None:
+        f_jar = jarzynski_assignment(w.instrument, beta)
     work = w.work_values(f_jar, naive_assignment(h_b))
     delta_f = free_energy_difference(h_a, h_b, beta)
     with np.errstate(over="ignore"):
@@ -450,7 +453,8 @@ def cmd_run(args) -> int:
 
     jar_rec = {"record": "jarzynski"}
     try:
-        weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta)
+        f_jar = f_assign if spec["f_kind"] == "jarzynski" else None
+        weights, reference, delta_f = _jarzynski_terms(w, h_a, h_b, beta, f_jar)
         jar_exact = float(np.sum(p_exact * weights))
         jar_rec.update(
             exact_sum=jar_exact, sampled_sum=float(np.sum(freq * weights)), reference=reference,
@@ -649,7 +653,12 @@ def _add_common(sp) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later one in the process; callers must not change it. Each
+    parse_args call makes a new namespace, and every default is immutable,
+    so no flag of one command carries over to the next."""
     ap = argparse.ArgumentParser(
         prog="jointwork", description="joint work observables for noisy energy measurements"
     )

@@ -205,6 +205,8 @@ def heisenberg_povm(b: Povm, u) -> Povm:
     uu = require_unitary(u, name="process unitary", stacked=stacked)
     if uu.shape[-1] != b.dim:
         raise ValueError(f"unitary dim {uu.shape[-1]} != POVM dim {b.dim}")
+    if b.effects.ndim == 4 and len(uu) != len(b.effects):
+        raise ValueError(f"stack sizes differ: {len(b.effects)} POVMs, {len(uu)} unitaries")
     eff = np.einsum("...ji,...ajk,...kl->...ail", uu.conj(), b.effects, uu)
     return Povm(effects=eff)
 

@@ -351,6 +351,43 @@ def test_two_point_table_built_once_per_experiment(tmp_path, capsys, monkeypatch
     capsys.readouterr()
 
 
+def test_jarzynski_assignment_built_once_per_run(tmp_path, capsys, monkeypatch):
+    # README's spec takes the log-domain kind for f, which the Jarzynski
+    # record reuses
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    spec = tmp_path / "experiment.json"
+    spec.write_text(_readme_block(readme, "Experiment file:", "```json"))
+    calls = []
+    build = cli.jarzynski_assignment
+    monkeypatch.setattr(cli, "jarzynski_assignment", lambda *a: calls.append(a) or build(*a))
+    assert main(["run", str(spec)]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_flags(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "r.jsonl"
+
+    def header(argv):
+        assert main([*argv, "--output", str(out)]) == 0
+        return json.loads(out.read_text().splitlines()[0])
+
+    inadmissible = _write_spec(
+        tmp_path,
+        visibility={"lambda": 0.8, "gamma": 0.8},
+        assignments={"f": "corrected", "g": "corrected"},
+    )
+    assert main(["run", inadmissible, "--force"]) == 0
+    assert main(["run", inadmissible]) == 3
+    spec = _write_spec(tmp_path)
+    assert header(["run", spec, "--seed", "9"])["seed"] == 9
+    assert header(["run", spec])["seed"] == QUBIT_SPEC["seed"]
+    assert header(["sample", spec, "--samples", "12345"])["samples"] == 12345
+    assert header(["sample", spec])["samples"] == QUBIT_SPEC["samples"]
+    capsys.readouterr()
+
+
 def test_sample_rejects_out_of_range_samples_flag(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     assert main(["sample", spec, "--samples", "0"]) == 2

@@ -122,6 +122,10 @@ def test_heisenberg_povm(ladder3):
     assert stacked.shape == (4, 3, 3, 3)
     for k in range(4):
         assert np.array_equal(stacked[k], heisenberg_povm(b, us[k]).effects)
+    # a stack of POVMs takes a stack of unitaries of the same size
+    bs = Povm(effects=np.stack([b.effects] * 3))
+    with pytest.raises(ValueError, match="3 POVMs, 4 unitaries"):
+        heisenberg_povm(bs, us)
 
 
 def test_check_marginals(ladder3):
