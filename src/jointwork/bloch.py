@@ -84,8 +84,10 @@ def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     then the inverse measurement channel.
 
     On basis units the composed map acts as |i><i| -> gamma|i><i| + (1-gamma)/d
-    and |i><j| -> (gamma/kappa)|i><j| for i != j, which is what gets assembled
-    block by block below.
+    and |i><j| -> (gamma/kappa)|i><j| for i != j. So D has d * (1-gamma)/d
+    on its diagonal, and its entries between the rows and columns (i,i)
+    are d * (gamma + (1-gamma)/d) at (ii,ii) and d * (gamma/kappa) at
+    (ii,jj) for i != j; every other entry is zero.
     """
     if pair.lam >= INVERTIBILITY_CUTOFF:
         raise NonInvertibleInstrumentError(
@@ -93,15 +95,12 @@ def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
         )
     k = kappa(d, pair.lam)
     g = pair.gamma
-    dm = np.zeros((d * d, d * d), dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                block = g * np.outer(eye[i], eye[i]) + (1.0 - g) / d * eye
-            else:
-                block = (g / k) * np.outer(eye[i], eye[j].conj())
-            dm[i * d:(i + 1) * d, j * d:(j + 1) * d] = d * block
+    c = (1.0 - g) / d
+    dm = np.diag(np.full(d * d, d * c, dtype=np.complex128))
+    levels = np.full((d, d), d * (g / k))
+    np.fill_diagonal(levels, d * (g + c))
+    ii = np.arange(d) * (d + 1)
+    dm[np.ix_(ii, ii)] = levels
     return dm
 
 
@@ -110,10 +109,12 @@ def _outer(v: np.ndarray) -> np.ndarray:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-def _lowest_eigenvectors(m: np.ndarray, d: int) -> np.ndarray:
-    """Lowest eigenvector of the Hermitian part of each flattened d x d row."""
+def _lowest_eigenpair(m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue and its eigenvector of the Hermitian part of each
+    flattened d x d row."""
     m = m.reshape(-1, d, d)
-    return np.linalg.eigh(0.5 * (m + m.conj().transpose(0, 2, 1)))[1][:, :, 0]
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().transpose(0, 2, 1)))
+    return w[:, 0], v[:, :, 0]
 
 
 def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int = 0) -> float:
@@ -129,6 +130,15 @@ def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int =
     every start at once. A start stops once one step moves its expectation
     by at most 1e-14, or after 500 steps; the result is the minimum over
     the starts' last expectations.
+
+    The descent converges linearly, so every third step first tries an
+    Aitken extrapolation of the start's last three b iterates b0, b1, b2:
+    with their phases aligned, D1 = b1 - b0, D2 = b2 - b1 and
+    r = Re<D1,D2>/|D1|^2 clipped to [0, 0.99], the a-step runs from
+    normalize(b2 + r/(1-r) D2). A start keeps that point only where the
+    a-step's least eigenvalue is strictly below its current expectation,
+    and takes the plain a-step elsewhere, so every step still descends and
+    the fixed points are those of the plain descent.
 
     Raises ValueError unless d >= 2, restarts >= 0 and D is a finite
     (d*d, d*d) matrix, and NotHermitianError if D is not Hermitian.
@@ -150,19 +160,38 @@ def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int =
         ra = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         rb = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a[s], b[s] = ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)
-    bb = _outer(b)
-    val = (bb * (_outer(a) @ p)).sum(axis=1).real
+    val = (_outer(b) * (_outer(a) @ p)).sum(axis=1).real
+    # the last three b iterates of each start, newest last
+    bs = np.repeat(b[:, None], 3, axis=1)
     best = np.inf
-    for _ in range(500):
-        a = _lowest_eigenvectors(bb @ p.T, d)
+    for step in range(1, 501):
+        if step % 3:
+            a = _lowest_eigenpair(_outer(bs[:, 2]) @ p.T, d)[1]
+        else:
+            # eigh fixes no phase: turn each older iterate so that <b_j+1|b_j> >= 0
+            for j in (1, 0):
+                turn = np.angle((bs[:, j + 1].conj() * bs[:, j]).sum(axis=1))
+                bs[:, j] *= np.exp(-1j * turn)[:, None]
+            d1, d2 = np.diff(bs, axis=1).transpose(1, 0, 2)
+            # the floor keeps D1 = 0 from dividing by zero: Re<D1,D2> and r are 0 there
+            den = np.maximum((d1.conj() * d1).sum(axis=1).real, np.finfo(float).tiny)
+            r = np.clip((d1.conj() * d2).sum(axis=1).real / den, 0.0, 0.99)
+            # |x| >= 1, as x = (1 + c) b2 - c b1 with c >= 0 and unit b1, b2: the
+            # normalization below never divides by zero
+            x = bs[:, 2] + (r / (1.0 - r))[:, None] * d2
+            w, a = _lowest_eigenpair(_outer(x / np.linalg.norm(x, axis=1)[:, None]) @ p.T, d)
+            plain = ~(w < val)
+            if plain.any():
+                a[plain] = _lowest_eigenpair(_outer(bs[plain, 2]) @ p.T, d)[1]
         mb = _outer(a) @ p
-        bb = _outer(_lowest_eigenvectors(mb, d))
-        new = (bb * mb).sum(axis=1).real
+        b = _lowest_eigenpair(mb, d)[1]
+        new = (_outer(b) * mb).sum(axis=1).real
+        bs = np.concatenate([bs[:, 1:], b[:, None]], axis=1)
         done = np.abs(val - new) <= 1e-14
         val = new
         if done.any():
             best = min(best, val[done].min())
-            bb, val = bb[~done], val[~done]
+            bs, val = bs[~done], val[~done]
             if not len(val):
                 break
     return float(min(best, val.min(initial=np.inf)))

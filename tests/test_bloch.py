@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jointwork import bloch
 from jointwork.bloch import (
     VisibilityPair,
     choi_matrix,
@@ -94,6 +95,30 @@ def test_choi_matrix_shape_and_hermiticity():
     assert abs(np.trace(dm).real - 9.0) < 1e-12
 
 
+def _block_loop_choi_matrix(d, pair):
+    # reference: the Choi matrix assembled block by block
+    k = kappa(d, pair.lam)
+    g = pair.gamma
+    dm = np.zeros((d * d, d * d), dtype=np.complex128)
+    eye = np.eye(d, dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                block = g * np.outer(eye[i], eye[i]) + (1.0 - g) / d * eye
+            else:
+                block = (g / k) * np.outer(eye[i], eye[j].conj())
+            dm[i * d:(i + 1) * d, j * d:(j + 1) * d] = d * block
+    return dm
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_choi_matrix_equals_block_loop(d):
+    for lam in np.linspace(0.01, 0.99, 13):
+        for gam in np.linspace(0.01, 0.99, 13):
+            pair = VisibilityPair(lam, gam)
+            assert np.array_equal(choi_matrix(d, pair), _block_loop_choi_matrix(d, pair))
+
+
 def test_product_minimum_closed_form_anchor():
     pair = VisibilityPair(0.5, 0.5)
     got = product_state_minimum(choi_matrix(2, pair), 2)
@@ -143,6 +168,16 @@ def test_lockstep_minimum_matches_sequential_on_choi_grid(d):
             assert abs(product_state_minimum(dm, d) - _sequential_product_minimum(dm, d)) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_extrapolated_minimum_matches_sequential_at_low_visibility(d):
+    # at small lam the plain descent converges slowest, and the Aitken
+    # step is taken most often
+    for lam in (0.05, 0.1, 0.15, 0.215):
+        for gam in (0.3, 0.6):
+            dm = choi_matrix(d, VisibilityPair(lam, gam))
+            assert abs(product_state_minimum(dm, d) - _sequential_product_minimum(dm, d)) < 1e-12
+
+
 def _traceless_hermitian(d, rng):
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = x + x.conj().T
@@ -162,6 +197,57 @@ def test_lockstep_minimum_matches_sequential_on_product_operators(d, rng):
         got = product_state_minimum(dm, d, seed=seed)
         assert abs(got - _sequential_product_minimum(dm, d, seed=seed)) < 1e-12
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
+def _hermitian(n, rng):
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x + x.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_extrapolated_minimum_matches_sequential_on_random_operators(d):
+    # general Hermitian operators and two-term Kronecker sums: no closed
+    # form, several basins, and phases the extrapolation has to align
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        general = _hermitian(d * d, rng)
+        two_term = np.kron(_hermitian(d, rng), _hermitian(d, rng)) + np.kron(
+            _hermitian(d, rng), _hermitian(d, rng)
+        )
+        for dm in (general, two_term):
+            got = product_state_minimum(dm, d, seed=seed)
+            assert abs(got - _sequential_product_minimum(dm, d, seed=seed)) < 1e-12
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        calls.append(1)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d, lam, gam", [(2, 0.05, 0.5), (3, 0.1, 0.5), (4, 0.1, 0.5), (5, 0.05, 0.3)])
+def test_low_visibility_search_converges_before_the_step_cap(d, lam, gam, eigh_calls):
+    # the plain descent runs all 500 steps here, two eigh calls each
+    product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
+    assert len(eigh_calls) < 1000
+
+
+def test_extrapolation_cuts_the_eigensolves_on_the_choi_grid(eigh_calls):
+    # the plain descent makes 26,776 eigh calls on this grid and the
+    # extrapolated one about 2,250; without the phase alignment the
+    # extrapolated points scatter and it takes about 3,900
+    for d in (2, 3, 4, 5):
+        for lam in np.linspace(0.1, 0.9, 5):
+            for gam in np.linspace(0.1, 0.9, 5):
+                product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
+    assert len(eigh_calls) < 3000
 
 
 def test_product_minimum_restart_count_and_seed():
@@ -211,3 +297,16 @@ def test_margin_zero_on_the_boundary(d):
     lam = 0.55
     pair = VisibilityPair(lam, gamma_bound(d, lam))
     assert abs(choi_positivity_margin(d, pair)) < 1e-9
+
+
+def test_margin_raises_when_the_search_disagrees(monkeypatch):
+    # a Choi matrix built at a slightly larger gamma moves the searched
+    # minimum away from the closed form at the true gamma
+    build = bloch.choi_matrix
+
+    def shifted(d, pair):
+        return build(d, VisibilityPair(pair.lam, pair.gamma * (1.0 + 1e-3)))
+
+    monkeypatch.setattr(bloch, "choi_matrix", shifted)
+    with pytest.raises(ArithmeticError):
+        choi_positivity_margin(3, VisibilityPair(0.5, 0.5))
