@@ -17,10 +17,11 @@ INVERTIBILITY_CUTOFF = 1.0 - 1e-9
 
 
 def kappa(d: int, lam: float) -> float:
-    """Off-diagonal survival factor of the measurement channel."""
+    """Off-diagonal survival factor of the measurement channel; elementwise
+    for an array of visibilities."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if not 0.0 <= lam <= 1.0:
+    if not every((0.0 <= lam) & (lam <= 1.0)):
         raise ValueError(f"visibility must lie in [0,1], got {lam}")
     u = (1.0 - lam) / d
     return 2.0 * np.sqrt(lam + u) * np.sqrt(u) + (d - 2.0) * u

@@ -470,36 +470,58 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _verify_inputs(d: int, case_seeds):
+    """The drawn inputs of a block of verify cases, each array with a
+    leading case axis. Each case draws from its own stream, in a fixed
+    order: levels and a Haar seed for each Hamiltonian, the process's Haar
+    seed, lam, gamma, beta, two assignments, a state, a diagonal state's
+    probabilities and an operator for the channel round trip. Normal draws
+    that follow each other in a stream (f, g and the state's matrix; the
+    operator's two halves) are made as one call: a Generator fills an array
+    in order, so the values are those of the separate draws. The arithmetic
+    on the draws runs once over the block."""
+    n, dd = len(case_seeds), d * d
+    gaps, shift = np.empty((2, n, d)), np.empty((2, n))
+    seeds = np.empty((3, n), dtype=np.int64)
+    unif, probs = np.empty((3, n)), np.empty((n, d))
+    # f, g and a Ginibre matrix's real and imaginary parts; then another's
+    fgx, y = np.empty((n, 2 * d + 2 * dd)), np.empty((n, 2 * dd))
+    for k, case_seed in enumerate(case_seeds):
+        rng = np.random.default_rng(case_seed)
+        for h in (0, 1):
+            rng.random(out=gaps[h, k])
+            shift[h, k] = rng.standard_normal()
+            seeds[h, k] = rng.integers(2**63)
+        seeds[2, k] = rng.integers(2**63)
+        unif[:, k] = rng.uniform(0.3, 0.95), rng.uniform(0.2, 1.0), rng.uniform(0.3, 2.0)
+        rng.standard_normal(out=fgx[k])
+        rng.random(out=probs[k])
+        rng.standard_normal(out=y[k])
+
+    gaps += 0.05
+    e = np.zeros((2, n, d))
+    np.cumsum(gaps[..., :-1], axis=-1, out=e[..., 1:])
+    e += shift[..., None] * 0.2
+    lam, gam, beta = unif
+    gam *= np.minimum(gamma_bound(d, lam), 1.0 - 1e-9)
+
+    def ginibre(parts):
+        return parts[:, :dd].reshape(n, d, d) + 1j * parts[:, dd:].reshape(n, d, d)
+
+    f, g = fgx[:, :d].copy(), fgx[:, d:2 * d].copy()
+    return (e[0], seeds[0], e[1], seeds[1], seeds[2], lam, gam, beta, f, g,
+            ginibre(fgx[:, 2 * d:]), probs, ginibre(y))
+
+
 def _verify_block(d: int, case_seeds):
     """The invariant battery over a block of cases, stacked on one leading
-    axis and run once through the library. Each case draws its inputs from
-    its own stream, in a fixed order: levels and a Haar seed for each
-    Hamiltonian, the process's Haar seed, lam, gamma, beta, two assignments,
-    a state, a diagonal state's probabilities and an operator for the
-    channel round trip. Returns per-case residuals for each key of
-    VERIFY_LIMITS (jarzynski only for the cases inside its log domain), the
-    least effect eigenvalues and the mask of skipped Jarzynski cases."""
-
-    def draw(case_seed):
-        rng = np.random.default_rng(case_seed)
-
-        def levels():
-            gaps = rng.random(d) + 0.05
-            e = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
-            return e + rng.standard_normal() * 0.2
-
-        def ginibre():
-            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-        e_a, seed_a, e_b, seed_b = levels(), rng.integers(2**63), levels(), rng.integers(2**63)
-        seed_u, lam = rng.integers(2**63), rng.uniform(0.3, 0.95)
-        gam = rng.uniform(0.2, 1.0) * min(gamma_bound(d, lam), 1.0 - 1e-9)
-        beta, f, g = rng.uniform(0.3, 2.0), rng.standard_normal(d), rng.standard_normal(d)
-        x = ginibre()
-        return e_a, seed_a, e_b, seed_b, seed_u, lam, gam, beta, f, g, x, rng.random(d), ginibre()
-
-    draws = [np.array(col) for col in zip(*map(draw, case_seeds))]
-    e_a, seed_a, e_b, seed_b, seed_u, lam, gam, beta, f, g, x, probs, y = draws
+    axis and run once through the library, on the inputs `_verify_inputs`
+    draws. Returns per-case residuals for each key of VERIFY_LIMITS
+    (jarzynski only for the cases inside its log domain), the least effect
+    eigenvalues and the mask of skipped Jarzynski cases."""
+    e_a, seed_a, e_b, seed_b, seed_u, lam, gam, beta, f, g, x, probs, y = _verify_inputs(
+        d, case_seeds
+    )
     h_a = hamiltonian_from_energies(e_a, haar_random_unitary(d, seed_a))
     h_b = hamiltonian_from_energies(e_b, haar_random_unitary(d, seed_b))
     u = haar_random_unitary(d, seed_u)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import BasisMismatchError
 from .operators import (
     SpectralHamiltonian,
+    _psd_floor_breach,
+    _require_finite,
     case_axes,
     every,
     logsumexp,
@@ -29,6 +31,7 @@ from .operators import (
 from .povm import NoisyEnergyPovm, Povm, luders_apply
 
 DISTRIBUTION_TOL = 1e-10
+STATE_PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,15 @@ def _validate_state(rho, shape) -> np.ndarray:
     r = np.asarray(rho, dtype=np.complex128)
     if r.shape != shape:
         raise ValueError(f"state shape {r.shape} != {shape}")
+    _require_finite(r, "state")
     if np.abs(np.trace(r, axis1=-2, axis2=-1).real - 1.0).max() > 1e-10:
         raise ValueError("state must have unit trace")
-    if np.linalg.eigvalsh(0.5 * (r + r.conj().swapaxes(-1, -2))).min() < -1e-10:
-        raise ValueError("state must be positive semidefinite")
+    worst = _psd_floor_breach(r, STATE_PSD_FLOOR)
+    if worst is not None:
+        raise ValueError(
+            f"state must be positive semidefinite: eigenvalue {worst:.3e}"
+            f" below {STATE_PSD_FLOOR:.1e}"
+        )
     return r
 
 

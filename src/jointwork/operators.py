@@ -77,6 +77,30 @@ def every(ok) -> bool:
     return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
 
 
+def _require_finite(m: np.ndarray, name: str) -> None:
+    """ValueError naming the non-finite entries of m, if it has any."""
+    if not np.isfinite(m).all():
+        bad = np.argwhere(~np.isfinite(m))
+        first = tuple(bad[0].tolist())
+        raise ValueError(f"{name} hold {len(bad)} non-finite entries, the first at index {first}")
+
+
+def _psd_floor_breach(m: np.ndarray, floor: float):
+    """None when the Hermitian part H of every matrix in the finite stack m
+    (..., d, d) has H >= floor * 1, else the least eigenvalue over them.
+    The test is a Cholesky factorization of 2(H - floor * 1), which succeeds
+    iff that matrix is positive definite, up to about d*eps*|H|. Only when
+    it fails does eigvalsh run, to decide and to give the eigenvalue."""
+    two_h = m + m.conj().swapaxes(-1, -2)
+    two_h -= 2.0 * floor * np.eye(m.shape[-1])
+    try:
+        np.linalg.cholesky(two_h)
+    except np.linalg.LinAlgError:
+        worst = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))))
+        return worst if worst < floor else None
+    return None
+
+
 def take_cases(obj, idx):
     """The cases idx of a stack: arrays indexed on their leading (case)
     axis, tuples and dataclasses field by field (rebuilt, so their checks
@@ -189,13 +213,15 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
 
-    def ginibre(s):
-        rng = np.random.default_rng(s)
-        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
     stacked = isinstance(seed, np.ndarray) and seed.ndim == 1
-    z = np.stack([ginibre(s) for s in seed]) if stacked else ginibre(seed)
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    seeds = seed if stacked else [seed]
+    # one draw per seed fills the real parts, then the imaginary parts: the
+    # values of two (dim, dim) draws in turn
+    g = np.empty((len(seeds), 2, dim, dim))
+    for gi, s in zip(g, seeds):
+        np.random.default_rng(s).standard_normal(out=gi)
+    z = g[:, 0] + 1j * g[:, 1]
+    q, r = np.linalg.qr((z if stacked else z[0]) / np.sqrt(2.0))
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
     return q * ph[..., None, :]

@@ -21,6 +21,8 @@ from .bloch import INVERTIBILITY_CUTOFF
 from .errors import NonInvertibleInstrumentError, NotPsdError
 from .operators import (
     SpectralHamiltonian,
+    _psd_floor_breach,
+    _require_finite,
     as_square_array,
     case_axes,
     every,
@@ -57,10 +59,12 @@ class Povm:
 
 def check_effects(eff: np.ndarray) -> None:
     """Povm's checks on effects (..., m, d, d), over any leading axes: every
-    effect's Hermitian part has eigenvalues >= EFFECT_PSD_FLOOR, and each
-    POVM's m effects sum to the identity within COMPLETENESS_TOL."""
-    worst = np.min(np.linalg.eigvalsh(0.5 * (eff + eff.conj().swapaxes(-1, -2))))
-    if worst < EFFECT_PSD_FLOOR:
+    entry is finite (else ValueError), every effect's Hermitian part has
+    eigenvalues >= EFFECT_PSD_FLOOR, and each POVM's m effects sum to the
+    identity within COMPLETENESS_TOL."""
+    _require_finite(eff, "effects")
+    worst = _psd_floor_breach(eff, EFFECT_PSD_FLOOR)
+    if worst is not None:
         raise NotPsdError(f"effect eigenvalue {worst:.3e} below {EFFECT_PSD_FLOOR:.1e}")
     dev = np.max(np.abs(eff.sum(axis=-3) - np.eye(eff.shape[-1])))
     if dev > COMPLETENESS_TOL:

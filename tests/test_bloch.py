@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +250,31 @@ def test_extrapolation_cuts_the_eigensolves_on_the_choi_grid(eigh_calls):
             for gam in np.linspace(0.1, 0.9, 5):
                 product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
     assert len(eigh_calls) < 3000
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_every_step_of_the_search_descends(d, monkeypatch):
+    # after each b-step, every active start's expectation against the one
+    # it held before the step: the acceptance rule keeps an extrapolated
+    # point only where it descends, so none may rise beyond rounding. The
+    # b-step is the call on the search's `mb`, and `val` holds the
+    # expectations before it, row for row.
+    lowest, rises = bloch._lowest_eigenpair, []
+
+    def recording(m, d):
+        w, v = lowest(m, d)
+        search = sys._getframe(1).f_locals
+        if m is search.get("mb"):
+            new = (bloch._outer(v) * m).sum(axis=1).real
+            rises.append(np.max(new - search["val"]))
+        return w, v
+
+    monkeypatch.setattr(bloch, "_lowest_eigenpair", recording)
+    for lam in (0.05, 0.1, 0.15, 0.215):
+        for gam in (0.3, 0.6):
+            product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
+    assert len(rises) >= 8 * 10
+    assert max(rises) <= 1e-12
 
 
 def test_product_minimum_restart_count_and_seed():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_hamiltonian
+from conftest import random_hamiltonian, rotated_spectrum
+from jointwork import gtpm
 from jointwork.bloch import VisibilityPair, gamma_bound
 from jointwork.errors import BasisMismatchError
 from jointwork.gtpm import (
@@ -91,6 +92,41 @@ def test_gtpm_distribution_validation(qubit):
     ):
         with pytest.raises(ValueError):
             gtpm_distribution(bad, inst, u, b_lab)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_state_floor(d, eigvalsh_calls):
+    def state(least, seed):
+        # unit trace, least eigenvalue `least`, rotated off the diagonal
+        return rotated_spectrum(np.r_[least, np.full(d - 1, (1.0 - least) / (d - 1))], seed)
+
+    # a passing check factorizes and makes no eigvalsh call
+    gtpm._validate_state(state(-0.5e-10, d), (d, d))
+    assert not eigvalsh_calls
+    with pytest.raises(ValueError, match="eigenvalue -2.000e-10 below -1.0e-10"):
+        gtpm._validate_state(state(-2e-10, d), (d, d))
+    # a stack of states fails on its one bad case
+    stack = np.stack([state(least, s) for s, least in enumerate([0.0, 0.01, -2e-10, 0.0])])
+    with pytest.raises(ValueError, match="-2.000e-10"):
+        gtpm._validate_state(stack, (4, d, d))
+    gtpm._validate_state(np.delete(stack, 2, axis=0), (3, d, d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_states_are_refused(d):
+    # a maximally mixed state with NaN coherences, everywhere or on one pair
+    rho = np.full((d, d), np.nan, dtype=complex)
+    np.fill_diagonal(rho, 1.0 / d)
+    with pytest.raises(ValueError, match="non-finite"):
+        gtpm._validate_state(rho, (d, d))
+    rho = np.eye(d, dtype=complex) / d
+    rho[0, 1] = rho[1, 0] = np.nan
+    msg = "state hold 2 non-finite entries, the first at index \\(0, 1\\)"
+    with pytest.raises(ValueError, match=msg):
+        gtpm._validate_state(rho, (d, d))
+    h = hamiltonian_from_energies(np.arange(d, dtype=float))
+    with pytest.raises(ValueError, match="non-finite"):
+        gtpm_distribution(rho, noisy_effects(h, 0.8), np.eye(d), noisy_povm(h, 0.5))
 
 
 def test_sequential_stats_match_joint_observable_for_diagonal_states(rng):

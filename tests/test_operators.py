@@ -110,3 +110,26 @@ def test_haar_unitary_first_entry_moment():
     mean = vals.mean()
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(mean - 1.0 / d) < 5.0 * se
+
+
+def _two_call_haar(d, seeds):
+    # reference: each seed's Ginibre matrix from two (d, d) draws, then the
+    # same QR and phase fix over the stack (or the one matrix)
+    def ginibre(s):
+        rng = np.random.default_rng(s)
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    z = np.stack([ginibre(s) for s in seeds]) if isinstance(seeds, np.ndarray) else ginibre(seeds)
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph /= np.abs(ph)
+    return q * ph[..., None, :]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_haar_unitary_equals_the_two_call_draw(d):
+    # one (2, d, d) draw per seed holds the two (d, d) draws' values
+    seeds = np.random.default_rng(40 + d).integers(0, 2**63, size=7)
+    assert np.array_equal(haar_random_unitary(d, seeds), _two_call_haar(d, seeds))
+    for s in seeds[:3]:
+        assert np.array_equal(haar_random_unitary(d, int(s)), _two_call_haar(d, int(s)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import rotated_spectrum
 from jointwork.bloch import kappa
 from jointwork.errors import NonInvertibleInstrumentError, NotPsdError
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
@@ -28,6 +29,40 @@ def test_povm_validation():
         Povm(effects=np.array([np.diag([0.5, 0.5])], dtype=complex))
     with pytest.raises(ValueError):
         Povm(effects=np.zeros((2, 2, 3), dtype=complex))
+
+
+def _effects(d, least, seed):
+    # two effects summing to the identity, the first with least eigenvalue
+    # `least`, both rotated off the computational basis
+    first = rotated_spectrum(np.linspace(least, 0.9, d), seed)
+    return np.stack([first, np.eye(d) - first])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_effect_floor(d, eigvalsh_calls):
+    # a passing check factorizes and makes no eigvalsh call
+    Povm(effects=_effects(d, -0.5e-10, d))
+    assert not eigvalsh_calls
+    with pytest.raises(NotPsdError, match="effect eigenvalue -2.000e-10 below -1.0e-10"):
+        Povm(effects=_effects(d, -2e-10, d))
+    # a stack of POVMs fails on its one bad case
+    stack = np.stack([_effects(d, least, s) for s, least in enumerate([0.0, 0.01, -2e-10, 0.0])])
+    with pytest.raises(NotPsdError, match="-2.000e-10"):
+        Povm(effects=stack)
+    Povm(effects=np.delete(stack, 2, axis=0))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_effects_are_refused(d):
+    with pytest.raises(ValueError, match="non-finite"):
+        Povm(effects=np.full((2, d, d), np.nan + 0j))
+    eff = _effects(d, 0.0, 1)
+    eff[0, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite entries, the first at index \\(0, 0, 1\\)"):
+        Povm(effects=eff)
+    eff[0, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        Povm(effects=eff)
 
 
 def test_noisy_effects_spectrum(ladder3):

@@ -13,9 +13,14 @@ from jointwork.povm import instrument_channel, inverse_instrument_channel
 from jointwork.workobs import EnergyAssignment, corrected_assignment
 
 
-def _verify_case(d, case_seed):
-    # reference: the same draws and invariants, one case at a time through
-    # the unstacked library calls
+# the names of cli._verify_inputs's arrays, in its order
+DRAWS = (
+    "e_a", "seed_a", "e_b", "seed_b", "seed_u", "lam", "gam", "beta", "f", "g", "x", "probs", "y"
+)
+
+
+def _case_draws(d, case_seed):
+    # reference: one case's inputs, one generator call each, in their order
     rng = np.random.default_rng(case_seed)
 
     def random_levels():
@@ -23,13 +28,28 @@ def _verify_case(d, case_seed):
         e = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
         return e + rng.standard_normal() * 0.2
 
-    h_a = hamiltonian_from_energies(random_levels(), haar_random_unitary(d, rng.integers(2**63)))
-    h_b = hamiltonian_from_energies(random_levels(), haar_random_unitary(d, rng.integers(2**63)))
-    u = haar_random_unitary(d, rng.integers(2**63))
-    lam = rng.uniform(0.3, 0.95)
+    def ginibre():
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+    e_a, seed_a = random_levels(), rng.integers(2**63)
+    e_b, seed_b = random_levels(), rng.integers(2**63)
+    seed_u, lam = rng.integers(2**63), rng.uniform(0.3, 0.95)
     gam = rng.uniform(0.2, 1.0) * min(gamma_bound(d, lam), 1.0 - 1e-9)
+    beta, f, g = rng.uniform(0.3, 2.0), rng.standard_normal(d), rng.standard_normal(d)
+    x = ginibre()
+    values = (e_a, seed_a, e_b, seed_b, seed_u, lam, gam, beta, f, g, x, rng.random(d), ginibre())
+    return dict(zip(DRAWS, values))
+
+
+def _verify_case(d, case_seed):
+    # reference: the same draws and invariants, one case at a time through
+    # the unstacked library calls
+    c = _case_draws(d, case_seed)
+    lam, gam, beta = c["lam"], c["gam"], c["beta"]
+    h_a = hamiltonian_from_energies(c["e_a"], haar_random_unitary(d, c["seed_a"]))
+    h_b = hamiltonian_from_energies(c["e_b"], haar_random_unitary(d, c["seed_b"]))
+    u = haar_random_unitary(d, c["seed_u"])
     pair = VisibilityPair(lam, gam)
-    beta = rng.uniform(0.3, 2.0)
 
     w, _, p_gibbs = cli._two_point_chain(h_a, h_b, u, pair, beta)
     out = {
@@ -38,15 +58,15 @@ def _verify_case(d, case_seed):
         "min_effect_eigenvalue": w.min_effect_eigenvalue,
     }
 
-    f = EnergyAssignment(values=rng.standard_normal(d))
-    g = EnergyAssignment(values=rng.standard_normal(d))
+    f = EnergyAssignment(values=c["f"])
+    g = EnergyAssignment(values=c["g"])
     lhs = np.einsum("ab,abij->ij", w.work_values(f, g), w.effects)
     rhs = np.einsum("a,aij->ij", g.values, w.b_povm.effects) - np.einsum(
         "a,aij->ij", f.values, w.instrument.effects
     )
     out["average_condition"] = float(np.max(np.abs(lhs - rhs)))
 
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = c["x"]
     rho = x @ x.conj().T
     rho /= np.trace(rho).real
     fc, gc = corrected_assignment(h_a, lam), corrected_assignment(h_b, gam)
@@ -57,12 +77,10 @@ def _verify_case(d, case_seed):
     )
     out["corrected_work"] = abs(float(np.trace(wop @ rho).real) - expect)
 
-    probs = rng.random(d)
-    probs /= probs.sum()
+    probs = c["probs"] / c["probs"].sum()
     out["fluctuation"] = fluctuation_residual(w, DiagonalState(probabilities=probs, basis=h_a))
 
-    y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    y = 0.5 * (y + y.conj().T)
+    y = 0.5 * (c["y"] + c["y"].conj().T)
     inst = w.instrument
     out["channel_round_trip"] = float(
         np.max(np.abs(inverse_instrument_channel(inst, instrument_channel(inst, y)) - y))
@@ -98,6 +116,21 @@ def test_block_battery_matches_the_per_case_reference(d):
         want = [r[key] for r in refs if r[key] is not None]
         assert len(got[key]) == len(want)
         assert np.max(np.abs(np.subtract(got[key], want))) <= 1e-14, key
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_block_draws_equal_the_per_case_draws(d):
+    # the block's merged generator calls and its arithmetic over the block
+    # give every case's inputs bit for bit; 60 cases end on a short block
+    seeds = [int(s) for s in np.random.default_rng(200 + d).integers(0, 2**63, size=60)]
+    for i in range(0, len(seeds), VERIFY_BLOCK):
+        block = seeds[i:i + VERIFY_BLOCK]
+        got = dict(zip(DRAWS, cli._verify_inputs(d, block)))
+        refs = [_case_draws(d, s) for s in block]
+        for key in DRAWS:
+            want = np.array([r[key] for r in refs])
+            assert got[key].shape == want.shape, key
+            assert np.array_equal(got[key], want), key
 
 
 @pytest.mark.parametrize("cases", [1, VERIFY_BLOCK, VERIFY_BLOCK + 1])
