@@ -15,7 +15,6 @@ from .bloch import (
     kappa,
     lambda_mub,
     lambda_opt,
-    product_state_minimum,
     symmetric_critical_visibility,
 )
 from .errors import (

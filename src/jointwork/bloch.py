@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonInvertibleInstrumentError
-from .operators import every, require_hermitian
+from .operators import every
 
 # visibility this close to 1 makes the measurement channel numerically singular
 INVERTIBILITY_CUTOFF = 1.0 - 1e-9
@@ -28,7 +28,17 @@ def kappa(d: int, lam: float) -> float:
 
 
 def gamma_bound(d: int, lam: float) -> float:
-    """Largest second visibility compatible with positivity at first visibility lam."""
+    """Largest second visibility compatible with positivity at first visibility lam.
+
+    The depolarizing map at gamma, then the inverse measurement channel,
+    sends a pure state psi psi^dag to (1-gamma)/d + gamma N_psi with
+    N_psi = -alpha diag(|psi|^2) + (1+alpha) psi psi^dag and
+    alpha = 1/kappa - 1, and lambda_min(N_psi) >= -alpha/2, with equality at
+    the two-level Hadamard psi = (1, 1, 0, ...)/sqrt(2) (the proof is in
+    choi_positivity_margin). So the map stays positive on every product
+    state of the Choi matrix iff (1-gamma)/d - gamma*alpha/2 >= 0, that is
+    iff gamma <= 2*kappa/(d + 2*kappa - d*kappa).
+    """
     k = kappa(d, lam)
     return 2.0 * k / (d + 2.0 * k - d * k)
 
@@ -79,6 +89,15 @@ class VisibilityPair:
             )
 
 
+def _invertible_kappa(d: int, lam: float) -> float:
+    """kappa(d, lam), refusing a visibility that leaves no inverse channel."""
+    if lam >= INVERTIBILITY_CUTOFF:
+        raise NonInvertibleInstrumentError(
+            f"visibility {lam} leaves no invertible measurement channel"
+        )
+    return kappa(d, lam)
+
+
 def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     """Choi matrix (scaled by d^2 relative to the normalized maximally
     entangled state) of the composed map: the depolarizing map at gamma,
@@ -90,11 +109,7 @@ def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     are d * (gamma + (1-gamma)/d) at (ii,ii) and d * (gamma/kappa) at
     (ii,jj) for i != j; every other entry is zero.
     """
-    if pair.lam >= INVERTIBILITY_CUTOFF:
-        raise NonInvertibleInstrumentError(
-            f"visibility {pair.lam} leaves no invertible measurement channel"
-        )
-    k = kappa(d, pair.lam)
+    k = _invertible_kappa(d, pair.lam)
     g = pair.gamma
     c = (1.0 - g) / d
     dm = np.diag(np.full(d * d, d * c, dtype=np.complex128))
@@ -105,114 +120,34 @@ def choi_matrix(d: int, pair: VisibilityPair) -> np.ndarray:
     return dm
 
 
-def _outer(v: np.ndarray) -> np.ndarray:
-    """Rows conj(v_k) v_l of a stack of vectors, flattened to (n, d*d)."""
-    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
-
-
-def _lowest_eigenpair(m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least eigenvalue and its eigenvector of the Hermitian part of each
-    flattened d x d row."""
-    m = m.reshape(-1, d, d)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().transpose(0, 2, 1)))
-    return w[:, 0], v[:, :, 0]
-
-
-def product_state_minimum(dm: np.ndarray, d: int, restarts: int = 8, seed: int = 0) -> float:
-    """Minimum of <a x b| D |a x b> over product states, by alternating
-    eigenvector descent from restarts + 1 starts.
-
-    The first start is the known analytic minimizer support pattern
-    (equal weight on the first two levels, opposite relative sign), which
-    makes the boundary case exact; the random restarts, drawn from
-    default_rng(seed), guard against other basins. All starts advance in
-    lockstep: with P[(i,j),(k,l)] = D[(i,k),(j,l)], one step sets a to the
-    lowest eigenvector of P (b* x b), then b to that of P^T (a* x a), for
-    every start at once. A start stops once one step moves its expectation
-    by at most 1e-14, or after 500 steps; the result is the minimum over
-    the starts' last expectations.
-
-    The descent converges linearly, so every third step first tries an
-    Aitken extrapolation of the start's last three b iterates b0, b1, b2:
-    with their phases aligned, D1 = b1 - b0, D2 = b2 - b1 and
-    r = Re<D1,D2>/|D1|^2 clipped to [0, 0.99], the a-step runs from
-    normalize(b2 + r/(1-r) D2). A start keeps that point only where the
-    a-step's least eigenvalue is strictly below its current expectation,
-    and takes the plain a-step elsewhere, so every step still descends and
-    the fixed points are those of the plain descent.
-
-    Raises ValueError unless d >= 2, restarts >= 0 and D is a finite
-    (d*d, d*d) matrix, and NotHermitianError if D is not Hermitian.
-    """
-    if d < 2:
-        raise ValueError(f"product states need d >= 2, got {d}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    dm = require_hermitian(dm, name="Choi matrix")
-    if dm.shape != (d * d, d * d):
-        raise ValueError(f"Choi matrix for d={d} needs shape {(d * d, d * d)}, got {dm.shape}")
-    p = dm.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    rng = np.random.default_rng(seed)
-    a = np.zeros((restarts + 1, d), dtype=np.complex128)
-    b = np.zeros((restarts + 1, d), dtype=np.complex128)
-    a[0, :2] = 1.0 / np.sqrt(2.0)
-    b[0, :2] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
-    for s in range(1, restarts + 1):
-        ra = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        rb = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a[s], b[s] = ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)
-    val = (_outer(b) * (_outer(a) @ p)).sum(axis=1).real
-    # the last three b iterates of each start, newest last
-    bs = np.repeat(b[:, None], 3, axis=1)
-    best = np.inf
-    for step in range(1, 501):
-        if step % 3:
-            a = _lowest_eigenpair(_outer(bs[:, 2]) @ p.T, d)[1]
-        else:
-            # eigh fixes no phase: turn each older iterate so that <b_j+1|b_j> >= 0
-            for j in (1, 0):
-                turn = np.angle((bs[:, j + 1].conj() * bs[:, j]).sum(axis=1))
-                bs[:, j] *= np.exp(-1j * turn)[:, None]
-            d1, d2 = np.diff(bs, axis=1).transpose(1, 0, 2)
-            # the floor keeps D1 = 0 from dividing by zero: Re<D1,D2> and r are 0 there
-            den = np.maximum((d1.conj() * d1).sum(axis=1).real, np.finfo(float).tiny)
-            r = np.clip((d1.conj() * d2).sum(axis=1).real / den, 0.0, 0.99)
-            # |x| >= 1, as x = (1 + c) b2 - c b1 with c >= 0 and unit b1, b2: the
-            # normalization below never divides by zero
-            x = bs[:, 2] + (r / (1.0 - r))[:, None] * d2
-            w, a = _lowest_eigenpair(_outer(x / np.linalg.norm(x, axis=1)[:, None]) @ p.T, d)
-            plain = ~(w < val)
-            if plain.any():
-                a[plain] = _lowest_eigenpair(_outer(bs[plain, 2]) @ p.T, d)[1]
-        mb = _outer(a) @ p
-        b = _lowest_eigenpair(mb, d)[1]
-        new = (_outer(b) * mb).sum(axis=1).real
-        bs = np.concatenate([bs[:, 1:], b[:, None]], axis=1)
-        done = np.abs(val - new) <= 1e-14
-        val = new
-        if done.any():
-            best = min(best, val[done].min())
-            bs, val = bs[~done], val[~done]
-            if not len(val):
-                break
-    return float(min(best, val.min(initial=np.inf)))
-
-
 def choi_positivity_margin(d: int, pair: VisibilityPair) -> float:
-    """Minimal product-state expectation of the Choi matrix.
+    """Minimal product-state expectation of the Choi matrix,
+    1 - gamma + d*gamma/2 - d*gamma/(2*kappa), in closed form.
 
-    Computed in closed form, 1 - gamma + d*gamma/2 - d*gamma/(2*kappa), and
-    cross-checked against direct numerical minimization over the constructed
-    Choi matrix; disagreement beyond 1e-8 raises, since it would mean the
-    two derivations of the visibility bound drifted apart. choi_matrix
-    raises NonInvertibleInstrumentError when lam leaves no inverse channel.
+    Write D = choi_matrix(d, pair), M for its composed map,
+    alpha = 1/kappa - 1 >= 0 and psi = a*.
+    Then <a x b| D |a x b> = d <b| M(psi psi^dag) |b>, and M(psi psi^dag)
+    = (1-gamma)/d + gamma N_psi, since the inverse channel fixes the
+    identity, keeps the populations p_i = |psi_i|^2 and divides each
+    coherence by kappa: N_psi = -alpha diag(p) + (1+alpha) psi psi^dag. The
+    minimum over b is therefore 1 - gamma + d*gamma*lambda_min(N_psi), and
+    lambda_min(N_psi) >= -alpha/2 for every unit psi:
+
+    - if every p_i <= 1/2, N_psi + alpha/2 = alpha diag(1/2 - p) +
+      (1+alpha) psi psi^dag is a sum of PSD terms;
+    - otherwise exactly one p_1 > 1/2, and that diagonal-plus-rank-one
+      matrix is PSD iff sum_i p_i/(1/2 - p_i) <= -(1 - kappa). For a fixed
+      p_1 the left side is largest with the rest of p on one level, where
+      it equals -2.
+
+    The two-level Hadamard, a = (1, 1, 0, ...)/sqrt(2) and
+    b = (1, -1, 0, ...)/sqrt(2), has p = (1/2, 1/2, 0, ...) and attains
+    -alpha/2, so the bound is the minimum. choi_matrix builds D
+    independently, and the tests check this value against a search over it.
+
+    Raises NonInvertibleInstrumentError when lam leaves no inverse channel,
+    and ValueError unless d >= 2.
     """
-    numeric = product_state_minimum(choi_matrix(d, pair), d)
-    k = kappa(d, pair.lam)
+    k = _invertible_kappa(d, pair.lam)
     g = pair.gamma
-    closed = 1.0 - g + d * g / 2.0 - d * g / (2.0 * k)
-    if abs(closed - numeric) > 1e-8:
-        raise ArithmeticError(
-            f"closed-form margin {closed:.12e} and numerical minimum {numeric:.12e} disagree"
-        )
-    return closed
+    return 1.0 - g + d * g / 2.0 - d * g / (2.0 * k)

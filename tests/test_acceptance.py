@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_hamiltonian
+from conftest import random_hamiltonian, sequential_product_minimum
 from jointwork.bloch import (
     VisibilityPair,
     choi_matrix,
     gamma_bound,
     kappa,
     lambda_opt,
-    product_state_minimum,
     symmetric_critical_visibility,
 )
 from jointwork.feasibility import (
@@ -305,7 +304,7 @@ def test_criterion_12_choi_margin_consistency(acceptance_log):
             k = kappa(d, lam)
             for gam in np.linspace(0.1, 0.9, 5):
                 closed = 1.0 - gam + d * gam / 2.0 - d * gam / (2.0 * k)
-                numeric = product_state_minimum(
+                numeric = sequential_product_minimum(
                     choi_matrix(d, VisibilityPair(lam, gam)), d
                 )
                 worst = max(worst, abs(closed - numeric))

@@ -1,10 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jointwork import bloch
+from conftest import sequential_product_minimum
 from jointwork.bloch import (
     VisibilityPair,
     choi_matrix,
@@ -13,10 +11,9 @@ from jointwork.bloch import (
     kappa,
     lambda_mub,
     lambda_opt,
-    product_state_minimum,
     symmetric_critical_visibility,
 )
-from jointwork.errors import NotHermitianError
+from jointwork.errors import NonInvertibleInstrumentError
 
 
 def test_kappa_values():
@@ -123,61 +120,8 @@ def test_choi_matrix_equals_block_loop(d):
 
 def test_product_minimum_closed_form_anchor():
     pair = VisibilityPair(0.5, 0.5)
-    got = product_state_minimum(choi_matrix(2, pair), 2)
+    got = sequential_product_minimum(choi_matrix(2, pair), 2)
     assert abs(got - 0.42264973081037416) < 1e-10
-
-
-def _sequential_product_minimum(dm, d, restarts=8, seed=0):
-    # reference: the same starts and stop test, one start after another
-    t = dm.reshape(d, d, d, d)
-
-    def expectation(a, b):
-        return np.einsum("i,k,ikjl,j,l->", a.conj(), b.conj(), t, a, b).real
-
-    rng = np.random.default_rng(seed)
-    a0 = np.zeros(d, dtype=np.complex128)
-    b0 = np.zeros(d, dtype=np.complex128)
-    a0[0] = a0[1] = 1.0 / np.sqrt(2.0)
-    b0[0] = 1.0 / np.sqrt(2.0)
-    b0[1] = -1.0 / np.sqrt(2.0)
-    starts = [(a0, b0)]
-    for _ in range(restarts):
-        ra = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        rb = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        starts.append((ra / np.linalg.norm(ra), rb / np.linalg.norm(rb)))
-    best = np.inf
-    for a, b in starts:
-        val = expectation(a, b)
-        for _ in range(500):
-            ma = np.einsum("k,ikjl,l->ij", b.conj(), t, b)
-            a = np.linalg.eigh(0.5 * (ma + ma.conj().T))[1][:, 0]
-            mb = np.einsum("i,ikjl,j->kl", a.conj(), t, a)
-            b = np.linalg.eigh(0.5 * (mb + mb.conj().T))[1][:, 0]
-            new = expectation(a, b)
-            if abs(val - new) <= 1e-14:
-                val = new
-                break
-            val = new
-        best = min(best, val)
-    return float(best)
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_lockstep_minimum_matches_sequential_on_choi_grid(d):
-    for lam in np.linspace(0.1, 0.9, 5):
-        for gam in np.linspace(0.1, 0.9, 5):
-            dm = choi_matrix(d, VisibilityPair(lam, gam))
-            assert abs(product_state_minimum(dm, d) - _sequential_product_minimum(dm, d)) < 1e-12
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_extrapolated_minimum_matches_sequential_at_low_visibility(d):
-    # at small lam the plain descent converges slowest, and the Aitken
-    # step is taken most often
-    for lam in (0.05, 0.1, 0.15, 0.215):
-        for gam in (0.3, 0.6):
-            dm = choi_matrix(d, VisibilityPair(lam, gam))
-            assert abs(product_state_minimum(dm, d) - _sequential_product_minimum(dm, d)) < 1e-12
 
 
 def _traceless_hermitian(d, rng):
@@ -195,115 +139,75 @@ def test_lockstep_minimum_matches_sequential_on_product_operators(d, rng):
         a_op, b_op = _traceless_hermitian(d, rng), _traceless_hermitian(d, rng)
         ea, eb = np.linalg.eigvalsh(a_op), np.linalg.eigvalsh(b_op)
         want = min(x * y for x in ea[[0, -1]] for y in eb[[0, -1]])
-        dm = np.kron(a_op, b_op)
-        got = product_state_minimum(dm, d, seed=seed)
-        assert abs(got - _sequential_product_minimum(dm, d, seed=seed)) < 1e-12
+        got = sequential_product_minimum(np.kron(a_op, b_op), d, seed=seed)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
-def _hermitian(n, rng):
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return x + x.conj().T
+def _unit(d, rng):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_extrapolated_minimum_matches_sequential_on_random_operators(d):
-    # general Hermitian operators and two-term Kronecker sums: no closed
-    # form, several basins, and phases the extrapolation has to align
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        general = _hermitian(d * d, rng)
-        two_term = np.kron(_hermitian(d, rng), _hermitian(d, rng)) + np.kron(
-            _hermitian(d, rng), _hermitian(d, rng)
-        )
-        for dm in (general, two_term):
-            got = product_state_minimum(dm, d, seed=seed)
-            assert abs(got - _sequential_product_minimum(dm, d, seed=seed)) < 1e-12
+def _inverse_channel_image(psi, lam):
+    # the inverse measurement channel keeps the populations of psi psi^dag
+    # and divides its coherences by kappa: N = -alpha diag(p) + (1+alpha) psi psi^dag
+    alpha = 1.0 / kappa(len(psi), lam) - 1.0
+    n = -alpha * np.diag(np.abs(psi) ** 2) + (1.0 + alpha) * np.outer(psi, psi.conj())
+    return n, alpha
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(m):
-        calls.append(1)
-        return eigh(m)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
-
-
-@pytest.mark.parametrize("d, lam, gam", [(2, 0.05, 0.5), (3, 0.1, 0.5), (4, 0.1, 0.5), (5, 0.05, 0.3)])
-def test_low_visibility_search_converges_before_the_step_cap(d, lam, gam, eigh_calls):
-    # the plain descent runs all 500 steps here, two eigh calls each
-    product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
-    assert len(eigh_calls) < 1000
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 8), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
+def test_inverse_channel_keeps_pure_states_above_half_alpha(d, support, lam, seed):
+    # psi on its first `support` levels: two levels reach p_1 near 1/2,
+    # the case split's boundary
+    m = min(support, d)
+    psi = np.zeros(d, dtype=np.complex128)
+    psi[:m] = _unit(m, np.random.default_rng(seed))
+    n, alpha = _inverse_channel_image(psi, lam)
+    assert np.linalg.eigvalsh(n)[0] >= -alpha / 2.0 - 1e-12
 
 
-def test_extrapolation_cuts_the_eigensolves_on_the_choi_grid(eigh_calls):
-    # the plain descent makes 26,776 eigh calls on this grid and the
-    # extrapolated one about 2,250; without the phase alignment the
-    # extrapolated points scatter and it takes about 3,900
-    for d in (2, 3, 4, 5):
-        for lam in np.linspace(0.1, 0.9, 5):
-            for gam in np.linspace(0.1, 0.9, 5):
-                product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
-    assert len(eigh_calls) < 3000
+@pytest.mark.parametrize("d", range(2, 9))
+def test_equal_two_level_populations_reach_half_alpha(d, rng):
+    for lam in np.linspace(0.05, 0.95, 7):
+        psi = np.zeros(d, dtype=np.complex128)
+        psi[:2] = np.exp(2j * np.pi * rng.random(2)) / np.sqrt(2.0)
+        n, alpha = _inverse_channel_image(psi, lam)
+        assert abs(np.linalg.eigvalsh(n)[0] + alpha / 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_every_step_of_the_search_descends(d, monkeypatch):
-    # after each b-step, every active start's expectation against the one
-    # it held before the step: the acceptance rule keeps an extrapolated
-    # point only where it descends, so none may rise beyond rounding. The
-    # b-step is the call on the search's `mb`, and `val` holds the
-    # expectations before it, row for row.
-    lowest, rises = bloch._lowest_eigenpair, []
-
-    def recording(m, d):
-        w, v = lowest(m, d)
-        search = sys._getframe(1).f_locals
-        if m is search.get("mb"):
-            new = (bloch._outer(v) * m).sum(axis=1).real
-            rises.append(np.max(new - search["val"]))
-        return w, v
-
-    monkeypatch.setattr(bloch, "_lowest_eigenpair", recording)
-    for lam in (0.05, 0.1, 0.15, 0.215):
-        for gam in (0.3, 0.6):
-            product_state_minimum(choi_matrix(d, VisibilityPair(lam, gam)), d)
-    assert len(rises) >= 8 * 10
-    assert max(rises) <= 1e-12
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 8), st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1)
+)
+def test_no_product_state_falls_below_the_margin(d, lam, gam, seed):
+    rng = np.random.default_rng(seed)
+    pair = VisibilityPair(lam, gam)
+    ab = np.kron(_unit(d, rng), _unit(d, rng))
+    got = (ab.conj() @ choi_matrix(d, pair) @ ab).real
+    assert got >= choi_positivity_margin(d, pair) - 1e-12
 
 
-def test_product_minimum_restart_count_and_seed():
-    dm = choi_matrix(3, VisibilityPair(0.3, 0.7))
-    for restarts, seed in [(0, 0), (1, 5), (20, 7)]:
-        got = product_state_minimum(dm, 3, restarts=restarts, seed=seed)
-        assert abs(got - _sequential_product_minimum(dm, 3, restarts, seed)) < 1e-12
+@pytest.mark.parametrize("d", range(2, 9))
+def test_two_level_hadamard_attains_the_margin(d):
+    a = np.zeros(d)
+    a[:2] = 1.0 / np.sqrt(2.0)
+    b = a.copy()
+    b[1] = -b[1]
+    ab = np.kron(a, b)
+    for lam in np.linspace(0.05, 0.95, 7):
+        for gam in np.linspace(0.05, 0.95, 7):
+            pair = VisibilityPair(lam, gam)
+            got = (ab @ choi_matrix(d, pair) @ ab).real
+            assert abs(got - choi_positivity_margin(d, pair)) < 1e-12
 
 
-def test_product_minimum_rejects_bad_input():
-    dm = choi_matrix(2, VisibilityPair(0.5, 0.5))
-    with pytest.raises(ValueError):
-        product_state_minimum(np.full((4, 4), np.nan), 2)
-    with pytest.raises(ValueError):
-        product_state_minimum(np.where(np.eye(4) > 0, np.inf, dm), 2)
-    with pytest.raises(ValueError):
-        product_state_minimum(np.ones((1, 1)), 1)
-    with pytest.raises(ValueError):
-        product_state_minimum(dm.ravel(), 2)
-    with pytest.raises(ValueError):
-        product_state_minimum(dm.reshape(2, 8), 2)
-    with pytest.raises(ValueError):
-        product_state_minimum(dm, 3)
-    with pytest.raises(ValueError):
-        product_state_minimum(dm, 2, restarts=-1)
-    skew = dm.copy()
-    skew[0, 1] += 1e-3
-    with pytest.raises(NotHermitianError):
-        product_state_minimum(skew, 2)
+def test_margin_keeps_its_input_checks():
+    with pytest.raises(NonInvertibleInstrumentError):
+        choi_positivity_margin(3, VisibilityPair(1.0 - 1e-10, 0.5))
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        choi_positivity_margin(1, VisibilityPair(0.5, 0.5))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -311,10 +215,7 @@ def test_margin_sign_tracks_the_bound(d):
     lam = 0.6
     b = gamma_bound(d, lam)
     inside = choi_positivity_margin(d, VisibilityPair(lam, b - 1e-3))
-    outside_pair = VisibilityPair(lam, min(b + 1e-3, 0.999))
-    k = kappa(d, lam)
-    gam = outside_pair.gamma
-    outside = 1.0 - gam + d * gam / 2.0 - d * gam / (2.0 * k)
+    outside = choi_positivity_margin(d, VisibilityPair(lam, min(b + 1e-3, 0.999)))
     assert inside > 0.0
     assert outside < 0.0
 
@@ -324,16 +225,3 @@ def test_margin_zero_on_the_boundary(d):
     lam = 0.55
     pair = VisibilityPair(lam, gamma_bound(d, lam))
     assert abs(choi_positivity_margin(d, pair)) < 1e-9
-
-
-def test_margin_raises_when_the_search_disagrees(monkeypatch):
-    # a Choi matrix built at a slightly larger gamma moves the searched
-    # minimum away from the closed form at the true gamma
-    build = bloch.choi_matrix
-
-    def shifted(d, pair):
-        return build(d, VisibilityPair(pair.lam, pair.gamma * (1.0 + 1e-3)))
-
-    monkeypatch.setattr(bloch, "choi_matrix", shifted)
-    with pytest.raises(ArithmeticError):
-        choi_positivity_margin(3, VisibilityPair(0.5, 0.5))
