@@ -73,10 +73,13 @@ SAMPLES_LIMIT = 2**63
 # --seed and a spec's "seed" are unsigned 64-bit integers
 SEED_LIMIT = 2**64
 
-# verify runs its battery on stacks of this many cases: on the audit benchmark
-# (about 40 MB) blocks of 25, 50 and 200 added 1.5, 3.3 and 13.4 MB of peak
-# memory against one case at a time, and blocks of 10 ran 25% slower than 25
-VERIFY_BLOCK = 25
+# verify runs its battery on stacks of k cases at dimension d with
+# k * d**4 <= VERIFY_BUDGET, since the (k, m, n, d, d) grids set a block's
+# memory. Peaks by tracemalloc of one block, 200 cases at d = 2..5 and 30 at
+# d = 6, 8: 0.76 MB (1 x 200) at d = 2, 1.16 (2 x 100) at d = 3, 1.57 (4 x 50)
+# at d = 4, 1.76 (8 x 25) at d = 5, 1.42 (3 x 10) at d = 6 and 1.29 (10 x 3)
+# at d = 8, where fixed blocks of 25 cases took 3.36 and 9.75 MB
+VERIFY_BUDGET = 25 * 5**4
 
 
 class CliInputError(Exception):
@@ -513,6 +516,17 @@ def _verify_inputs(d: int, case_seeds):
             ginibre(fgx[:, 2 * d:]), probs, ginibre(y))
 
 
+def _verify_partition(d: int, cases: int) -> list[slice]:
+    """The blocks verify runs `cases` cases at dimension d in: the fewest
+    that hold k * d**4 <= VERIFY_BUDGET for each block's k cases (one case
+    when a single one exceeds it), in order, their sizes differing by at
+    most one."""
+    count = -(-cases // max(1, VERIFY_BUDGET // d**4))
+    size, extra = divmod(cases, count)
+    edges = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _verify_block(d: int, case_seeds):
     """The invariant battery over a block of cases, stacked on one leading
     axis and run once through the library, on the inputs `_verify_inputs`
@@ -595,10 +609,7 @@ def cmd_verify(args) -> int:
     all_ok = True
     for d in dims:
         case_seeds = [int(s) for s in rng.integers(0, 2**63, size=args.cases)]
-        results = [
-            _verify_block(d, case_seeds[i:i + VERIFY_BLOCK])
-            for i in range(0, args.cases, VERIFY_BLOCK)
-        ]
+        results = [_verify_block(d, case_seeds[b]) for b in _verify_partition(d, args.cases)]
         cases = {k: np.concatenate([r[k] for r in results]) for k in results[0]}
         rec = {"record": "verify", "d": d, "cases": args.cases}
         for key, limit in VERIFY_LIMITS.items():

@@ -14,6 +14,7 @@ works on one case, as it always has.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -103,15 +104,22 @@ def _psd_floor_breach(m: np.ndarray, floor: float):
 
 def take_cases(obj, idx):
     """The cases idx of a stack: arrays indexed on their leading (case)
-    axis, tuples and dataclasses field by field (rebuilt, so their checks
-    run again), anything else as it is."""
+    axis, read-only where the source is; tuples and dataclasses field by
+    field; anything else as it is. A dataclass is copied with its fields
+    replaced, not rebuilt: every constructor check holds case by case, so
+    the cases of a checked stack need no second check."""
     if isinstance(obj, np.ndarray):
-        return obj[idx]
+        out = obj[idx]
+        if not obj.flags.writeable:
+            out.setflags(write=False)
+        return out
     if isinstance(obj, tuple):
         return tuple(take_cases(x, idx) for x in obj)
     if dataclasses.is_dataclass(obj):
-        fields = dataclasses.fields(obj)
-        return type(obj)(**{f.name: take_cases(getattr(obj, f.name), idx) for f in fields})
+        out = copy.copy(obj)
+        for f in dataclasses.fields(obj):
+            object.__setattr__(out, f.name, take_cases(getattr(obj, f.name), idx))
+        return out
     return obj
 
 

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from jointwork import gtpm, operators, povm, workobs
+from jointwork.bloch import VisibilityPair
 from jointwork.errors import DegenerateSpectrumError, NotHermitianError, NotUnitaryError
 from jointwork.operators import (
     SpectralHamiltonian,
@@ -9,6 +13,7 @@ from jointwork.operators import (
     logsumexp,
     require_hermitian,
     require_unitary,
+    take_cases,
 )
 
 
@@ -80,6 +85,58 @@ def test_hamiltonian_arrays_read_only():
         h.energies[0] = 5.0
     with pytest.raises(ValueError):
         h.projectors[0, 0, 0] = 5.0
+
+
+def _assert_taken(got, src, idx):
+    # got holds the cases idx of src, field by field, with src's write flags
+    if isinstance(src, np.ndarray):
+        assert np.array_equal(got, src[idx])
+        assert got.flags.writeable == src.flags.writeable
+    elif isinstance(src, tuple):
+        assert len(got) == len(src)
+        for g, s in zip(got, src):
+            _assert_taken(g, s, idx)
+    elif dataclasses.is_dataclass(src):
+        assert type(got) is type(src)
+        for f in dataclasses.fields(src):
+            _assert_taken(getattr(got, f.name), getattr(src, f.name), idx)
+    else:
+        assert got is src
+
+
+def test_take_cases_indexes_a_checked_stack_without_checking_it_again(monkeypatch):
+    calls = []
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(povm, "check_effects")
+    for module in (operators, povm, gtpm, workobs):
+        count(module, "require_unitary")
+    rng = np.random.default_rng(11)
+    k, d = 6, 3
+    levels = np.cumsum(rng.random((2, k, d)) + 0.1, axis=-1)
+    h_a, h_b = (hamiltonian_from_energies(e, haar_random_unitary(d, np.arange(k) + 10 * i))
+                for i, e in enumerate(levels))
+    u = haar_random_unitary(d, np.arange(k) + 100)
+    w = workobs.build_joint_observable(
+        h_a, h_b, u, VisibilityPair(rng.uniform(0.3, 0.9, k), rng.uniform(0.1, 0.3, k))
+    )
+    # the wrappers see the checks the constructors run, and the stack holds
+    # read-only and writable arrays, so the flag check sees both kinds
+    assert "check_effects" in calls and "require_unitary" in calls
+    assert not w.effects.flags.writeable and w.min_effect_eigenvalue.flags.writeable
+    calls.clear()
+    idx = np.array([4, 1, 3])
+    for src in (w, h_a, h_b):
+        _assert_taken(take_cases(src, idx), src, idx)
+    assert calls == []
 
 
 def test_spectral_hamiltonian_validates_shapes():

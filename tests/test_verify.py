@@ -5,7 +5,7 @@ import pytest
 
 from jointwork import cli, povm
 from jointwork.bloch import VisibilityPair, gamma_bound
-from jointwork.cli import VERIFY_BLOCK, VERIFY_LIMITS, main
+from jointwork.cli import VERIFY_BUDGET, VERIFY_LIMITS, _verify_partition, main
 from jointwork.errors import AssignmentDomainError
 from jointwork.gtpm import DiagonalState, fluctuation_residual
 from jointwork.operators import haar_random_unitary, hamiltonian_from_energies
@@ -100,13 +100,32 @@ def _case_seeds(seed, d_count, cases):
     return [[int(s) for s in rng.integers(0, 2**63, size=cases)] for _ in range(d_count)]
 
 
+@pytest.mark.parametrize("d", range(2, 13))
+@pytest.mark.parametrize("cases", [1, 24, 25, 26, 199, 200, 201])
+def test_partition_covers_the_cases_in_even_blocks_within_the_budget(d, cases):
+    blocks = _verify_partition(d, cases)
+    assert [i for b in blocks for i in range(cases)[b]] == list(range(cases))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert all(k * d**4 <= VERIFY_BUDGET or k == 1 for k in sizes)
+    # the fewest blocks: one fewer would hold a block over the budget
+    if len(blocks) > 1:
+        assert -(-cases // (len(blocks) - 1)) * d**4 > VERIFY_BUDGET
+
+
+def test_partition_of_the_audit_cases():
+    # 200 cases at d = 2..5 run in 15 blocks
+    shapes = {d: [b.stop - b.start for b in _verify_partition(d, 200)] for d in (2, 3, 4, 5)}
+    assert shapes == {2: [200], 3: [100] * 2, 4: [50] * 4, 5: [25] * 8}
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_block_battery_matches_the_per_case_reference(d):
     seeds = [int(s) for s in np.random.default_rng(100 + d).integers(0, 2**63, size=60)]
     refs = [_verify_case(d, s) for s in seeds]
     got = {k: [] for k in (*VERIFY_LIMITS, "min_effect_eigenvalue", "jarzynski_skipped")}
-    for i in range(0, len(seeds), VERIFY_BLOCK):
-        block = cli._verify_block(d, seeds[i:i + VERIFY_BLOCK])
+    for b in _verify_partition(d, len(seeds)):
+        block = cli._verify_block(d, seeds[b])
         for key, vals in block.items():
             got[key].extend(vals.tolist())
     skipped = [r["jarzynski"] is None for r in refs]
@@ -121,10 +140,11 @@ def test_block_battery_matches_the_per_case_reference(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_block_draws_equal_the_per_case_draws(d):
     # the block's merged generator calls and its arithmetic over the block
-    # give every case's inputs bit for bit; 60 cases end on a short block
+    # give every case's inputs bit for bit, in one block of 60 at d <= 4
+    # and three of 20 at d = 5
     seeds = [int(s) for s in np.random.default_rng(200 + d).integers(0, 2**63, size=60)]
-    for i in range(0, len(seeds), VERIFY_BLOCK):
-        block = seeds[i:i + VERIFY_BLOCK]
+    for b in _verify_partition(d, len(seeds)):
+        block = seeds[b]
         got = dict(zip(DRAWS, cli._verify_inputs(d, block)))
         refs = [_case_draws(d, s) for s in block]
         for key in DRAWS:
@@ -133,15 +153,21 @@ def test_block_draws_equal_the_per_case_draws(d):
             assert np.array_equal(got[key], want), key
 
 
-@pytest.mark.parametrize("cases", [1, VERIFY_BLOCK, VERIFY_BLOCK + 1])
+# one case; then the most cases one block holds at d = 5 (25) and at d = 3
+# (192), and one case more, which splits them into two blocks
+EDGE_DIMS = (2, 3, 5)
+BLOCK_EDGES = sorted({1} | {VERIFY_BUDGET // d**4 + j for d in (3, 5) for j in (0, 1)})
+
+
+@pytest.mark.parametrize("cases", BLOCK_EDGES)
 def test_verify_records_at_block_edges(tmp_path, capsys, cases):
-    # one case, one full block, and a full block plus a one-case block
     out = tmp_path / "v.jsonl"
-    argv = ["verify", "--dims", "2,5", "--cases", str(cases), "--seed", "3"]
+    argv = ["verify", "--dims", ",".join(map(str, EDGE_DIMS)), "--cases", str(cases), "--seed", "3"]
     assert main([*argv, "--output", str(out), "--precision", "15"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "verdict ok=true"
     records = [json.loads(line) for line in out.read_text().splitlines()]
-    for d, seeds, rec in zip((2, 5), _case_seeds(3, 2, cases), records[1:3]):
+    assert len(records) == len(EDGE_DIMS) + 2
+    for d, seeds, rec in zip(EDGE_DIMS, _case_seeds(3, len(EDGE_DIMS), cases), records[1:-1]):
         refs = [_verify_case(d, s) for s in seeds]
         assert (rec["d"], rec["cases"]) == (d, cases)
         assert rec["jarzynski_skipped"] == sum(r["jarzynski"] is None for r in refs)
@@ -159,3 +185,18 @@ def test_verify_runs_the_library_inverse_channel(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "ok_channel_round_trip=false" in out
     assert out.splitlines()[-1] == "verdict ok=false"
+
+
+def test_verify_reports_do_not_depend_on_the_block_shape(tmp_path, monkeypatch, capsys):
+    # the budget's blocks (one of 60 at d <= 4, three of 20 at d = 5) against
+    # fixed blocks of 25, 25 and 10 cases: the same bytes
+    argv = ["verify", "--dims", "2,3,4,5", "--cases", "60", "--seed", "3", "--precision", "15"]
+    reports = []
+    for partition in (_verify_partition, lambda d, cases: [
+        slice(i, i + 25) for i in range(0, cases, 25)
+    ]):
+        monkeypatch.setattr(cli, "_verify_partition", partition)
+        out = tmp_path / f"v{len(reports)}.jsonl"
+        assert main([*argv, "--output", str(out)]) == 0
+        reports.append((out.read_bytes(), capsys.readouterr().out))
+    assert reports[0] == reports[1]
